@@ -36,11 +36,9 @@ _REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(_REPO_ROOT / "src"))
 
 from repro.codegen.compile import clear_config_kernel_cache  # noqa: E402
-from repro.core.api import (  # noqa: E402
-    clear_estimator_memo,
-    estimator_memo_stats,
-)
+from repro.core.api import clear_estimator_memo  # noqa: E402
 from repro.search import SearchResult  # noqa: E402
+from repro.session import Session  # noqa: E402
 
 
 def _scenario(app: str, budget: Optional[int]):
@@ -78,7 +76,7 @@ def run_app(
         serial_s = time.perf_counter() - t0
         # how much compiled-estimator reuse the serial run enjoyed
         # (forked workers inherit whatever is memoized pre-fork)
-        memo_after_serial = estimator_memo_stats()
+        memo_after_serial = Session().estimator_memo_stats()
         # warm resume: the completed run restores straight from the
         # store — zero candidates re-evaluated, front bit-identical
         t0 = time.perf_counter()

@@ -90,7 +90,7 @@ def run_crash_resume(crash_after: int) -> dict:
         )
         proc = subprocess.run(
             [
-                sys.executable, "-m", "repro.search",
+                sys.executable, "-m", "repro", "plan",
                 "--plan", str(plan_file), "--store", str(crash_store),
             ],
             env=env, capture_output=True, text=True, timeout=600,

@@ -23,17 +23,15 @@ the whole workflow — ``estimate`` / ``sweep`` / ``tune`` / ``search`` /
 ``plan`` / ``runs`` — as methods; ``python -m repro`` is the matching
 CLI, and ``python -m repro serve`` exposes the same workflow as a
 long-lived HTTP/JSON job service over one shared session
-(:mod:`repro.serve`).  The historical free functions (``estimate_error``,
-``sweep_error``, ``greedy_tune``, ``robust_tune``,
-``repro.search.search``) remain as deprecated wrappers over a default
-session and disappear in 2.0.
+(:mod:`repro.serve`); both run the operations declared once in
+:mod:`repro.session.ops`.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
 """
 
 from repro.frontend.registry import kernel, Kernel, get_kernel
-from repro.core.api import estimate_error, gradient, ErrorEstimator, Gradient
+from repro.core.api import gradient, ErrorEstimator, Gradient
 from repro.core.models import (
     ErrorModel,
     TaylorModel,
@@ -52,13 +50,10 @@ from repro.sweep import (
     grid_sweep,
     random_sweep,
     summarize,
-    sweep_error,
 )
-from repro.tuning import greedy_tune, robust_tune
 
-# the Pareto precision-search subsystem: `repro.search` is the package
-# (so `repro.search.search(...)` and `python -m repro.search` work);
-# its front/result/registry types are re-exported at top level
+# the Pareto precision-search subsystem: its front/result/registry
+# types are re-exported at top level
 from repro import search  # noqa: E402  (subsystem module, kept last)
 from repro.search import (
     ParetoFront,
@@ -72,8 +67,7 @@ from repro.search import (
 )
 
 # the session facade: shared resources (estimator memo, sweep cache,
-# run store, default models) + the whole workflow as methods — the
-# canonical API; the free functions above are deprecated wrappers
+# run store, default models) + the whole workflow as methods
 from repro.session import RunsView, Session, SessionConfig  # noqa: E402
 
 # the observability layer: span tracing, the process-wide metrics
@@ -96,13 +90,12 @@ from repro.util.errors import (  # noqa: E402
     UnknownNameError,
 )
 
-__version__ = "1.5.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "kernel",
     "Kernel",
     "get_kernel",
-    "estimate_error",
     "gradient",
     "ErrorEstimator",
     "Gradient",
@@ -123,9 +116,6 @@ __all__ = [
     "grid_sweep",
     "random_sweep",
     "summarize",
-    "sweep_error",
-    "greedy_tune",
-    "robust_tune",
     "search",
     "ParetoFront",
     "SearchResult",

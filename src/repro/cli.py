@@ -17,6 +17,12 @@ serve    long-lived HTTP/JSON job server over one shared session
 trace    summarize a JSONL trace file into a per-phase profile
 ======== ====================================================== =
 
+The five scenario operations (estimate, sweep, tune, analyze, search)
+turn their flags into a :class:`~repro.session.ops.JobSpec` and run it
+through :mod:`repro.session.ops`, the validation and dispatch the job
+server uses too: ``--json`` writes the payload a serve job returns for
+the same spec.
+
 Examples::
 
     python -m repro estimate --kernel blackscholes
@@ -30,9 +36,6 @@ Examples::
     python -m repro runs --store runs/ --prune --incomplete
     python -m repro serve --store runs/ --port 8321 --workers 2
     python -m repro trace --summarize run.trace.jsonl
-
-``python -m repro.search`` remains as a deprecated alias of the
-``search`` subcommand (removal in 2.0).
 """
 
 from __future__ import annotations
@@ -41,24 +44,21 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from repro.util.errors import ConfigError, ReproError
 
 _MODELS = ("taylor", "adapt")
 
-
-def _scenarios():
-    from repro.search.orchestrator import app_scenarios
-
-    return app_scenarios()
+#: spec knobs read from same-named flags (see :func:`_spec`)
+_SPEC_FLAGS = ("threshold", "budget", "seed", "point", "robust", "aggregate")
 
 
 def _print_scenarios() -> None:
+    from repro.search.orchestrator import app_scenarios
+
     print("available scenarios:")
-    for name, mod in sorted(_scenarios().items()):
+    for name, mod in sorted(app_scenarios().items()):
         scen = mod.search_scenario()
         print(
             f"  {name:14s} kernel={scen.kernel.ir.name:14s} "
@@ -67,268 +67,117 @@ def _print_scenarios() -> None:
         )
 
 
-def _load_scenario(args):
-    """The app scenario named by ``--kernel``, or ``None`` + exit code."""
-    scenarios = _scenarios()
-    if getattr(args, "list", False) or not args.kernel:
-        _print_scenarios()
-        return None, (0 if getattr(args, "list", False) else 2)
-    if args.kernel not in scenarios:
-        print(
-            f"unknown kernel {args.kernel!r} "
-            f"(available: {sorted(scenarios)})",
-            file=sys.stderr,
-        )
-        return None, 2
-    return scenarios[args.kernel].search_scenario(), 0
+def _strategies(args) -> Tuple[str, ...]:
+    """The comma-separated ``--strategies`` flag as names."""
+    return tuple(s for s in getattr(args, "strategies", "").split(",") if s)
 
 
 def _session_for(args):
     from repro.session import Session, SessionConfig
 
+    options: Dict[str, object] = {}
+    if getattr(args, "demote_to", None) is not None:
+        options["demote_to"] = args.demote_to
     config = SessionConfig(
         seed=getattr(args, "seed", 0),
         workers=getattr(args, "workers", 0),
-        strategies=tuple(
-            s
-            for s in getattr(args, "strategies", "").split(",")
-            if s
-        )
-        or SessionConfig().strategies,
+        strategies=_strategies(args) or SessionConfig().strategies,
         fault_plan=getattr(args, "faults", None),
+        **options,  # type: ignore[arg-type]
     )
+    model = None  # taylor: each method's historical default
+    if getattr(args, "model", None) == "adapt":
+        from repro.core.models import AdaptModel
+
+        model = AdaptModel()
     return Session(
         config,
         cache=getattr(args, "cache", None),
         store=getattr(args, "store", None),
+        model=model,
     )
-
-
-def _model_instance(name: Optional[str]):
-    if name is None or name == "taylor":
-        return None  # each method's historical default
-    from repro.core.models import AdaptModel
-
-    return AdaptModel()
 
 
 def _write_json(args, payload: Dict[str, object]) -> None:
     if getattr(args, "json", None) is not None:
-        args.json.write_text(json.dumps(payload, indent=2) + "\n")
+        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.json}")
 
 
-# -- estimate -----------------------------------------------------------------
+# -- estimate / sweep / tune / analyze / search -------------------------------
 
 
-def cmd_estimate(args) -> int:
-    scen, code = _load_scenario(args)
-    if scen is None:
-        return code
-    if args.point < 0 or args.point >= len(scen.points):
-        print(
-            f"--point {args.point} out of range "
-            f"(scenario has {len(scen.points)} validation points)",
-            file=sys.stderr,
-        )
-        return 2
-    sess = _session_for(args)
-    point = scen.points[args.point]
-    report = sess.estimate_at(
-        scen.kernel, point, model=_model_instance(args.model)
-    )
-    name = scen.kernel.ir.name
-    print(f"estimate({name}) at validation point {args.point}:")
-    print(f"  value       = {report.value:.17g}")
-    print(f"  total error = {report.total_error:.6g}")
+def _spec(args):
+    """The operation spec the subcommand's flags ask for."""
+    from repro.session.ops import JobSpec
+
+    knobs = {
+        name: getattr(args, name)
+        for name in _SPEC_FLAGS
+        if getattr(args, name, None) is not None
+    }
+    if _strategies(args):
+        knobs["strategies"] = _strategies(args)
+    return JobSpec(args.command, args.kernel, **knobs)
+
+
+def _print_contributions(per_variable: Dict[str, float], tag: str = "") -> None:
     print("  per-variable contributions:")
-    for var, err in sorted(
-        report.per_variable.items(), key=lambda kv: -abs(kv[1])
-    ):
-        print(f"    delta[{var:>12s}] = {err:.6g}")
-    _write_json(
-        args,
-        {
-            "kernel": name,
-            "point": args.point,
-            "value": report.value,
-            "total_error": report.total_error,
-            "per_variable": dict(report.per_variable),
-        },
-    )
+    for var, err in sorted(per_variable.items(), key=lambda kv: -abs(kv[1])):
+        print(f"    delta[{var:>12s}]{tag} = {err:.6g}")
+
+
+def _print_estimate(outcome, args) -> int:
+    out = outcome.payload
+    print(f"estimate({out['kernel']}) at validation point {out['point']}:")
+    print(f"  value       = {out['value']:.17g}")
+    print(f"  total error = {out['total_error']:.6g}")
+    _print_contributions(out["per_variable"])
     return 0
 
 
-# -- sweep --------------------------------------------------------------------
-
-
-def cmd_sweep(args) -> int:
-    from repro.sweep.aggregate import resolve_aggregator
-
-    scen, code = _load_scenario(args)
-    if scen is None:
-        return code
-    if scen.samples is None:
-        print(
-            f"scenario {args.kernel!r} has no input sweep",
-            file=sys.stderr,
-        )
-        return 2
-    agg_name, agg = resolve_aggregator(args.aggregate)
-    sess = _session_for(args)
-    rep = sess.sweep(
-        scen.kernel,
-        scen.samples,
-        fixed=scen.fixed,
-        model=_model_instance(args.model),
-    )
-    name = scen.kernel.ir.name
-    total = float(agg(np.asarray(rep.total_error)))
+def _print_sweep(outcome, args) -> int:
+    out = outcome.payload
     print(
-        f"sweep({name}): N={rep.n} backend={rep.backend} "
-        f"cached={rep.from_cache}"
+        f"sweep({out['kernel']}): N={out['n']} backend={out['backend']} "
+        f"cached={out['from_cache']}"
     )
-    print(f"  total error [{agg_name}] = {total:.6g}")
-    print("  per-variable contributions:")
-    rows = sorted(
-        (
-            (v, float(agg(np.asarray(a))))
-            for v, a in rep.per_variable.items()
-        ),
-        key=lambda kv: -abs(kv[1]),
-    )
-    for var, err in rows:
-        print(f"    delta[{var:>12s}] [{agg_name}] = {err:.6g}")
-    _write_json(
-        args,
-        {
-            "kernel": name,
-            "n": rep.n,
-            "backend": rep.backend,
-            "aggregate": agg_name,
-            "total_error": total,
-            "per_variable": dict(rows),
-        },
-    )
+    print(f"  total error [{out['aggregate']}] = {out['total_error']:.6g}")
+    _print_contributions(out["per_variable"], f" [{out['aggregate']}]")
     return 0
 
 
-# -- tune ---------------------------------------------------------------------
-
-
-def cmd_tune(args) -> int:
-    # flags only meaningful in one mode are rejected in the other —
-    # silently dropping them would tune something else than asked
-    if args.robust and args.point is not None:
-        args.parser.error("--point applies to point mode (omit --robust)")
-    if not args.robust and args.aggregate is not None:
-        args.parser.error("--aggregate applies to robust mode (add --robust)")
-    scen, code = _load_scenario(args)
-    if scen is None:
-        return code
-    threshold = (
-        args.threshold if args.threshold is not None else scen.threshold
-    )
-    sess = _session_for(args)
-    if args.robust:
-        if scen.samples is None:
-            print(
-                f"--robust: scenario {args.kernel!r} has no input sweep",
-                file=sys.stderr,
-            )
-            return 2
-        aggregate = args.aggregate or "max"
-        result = sess.tune(
-            scen.kernel,
-            threshold,
-            samples=scen.samples,
-            fixed=scen.fixed,
-            aggregate=aggregate,
-        )
-        mode = f"robust [{aggregate}]"
-    else:
-        point = args.point if args.point is not None else 0
-        if point < 0 or point >= len(scen.points):
-            print(
-                f"--point {point} out of range "
-                f"(scenario has {len(scen.points)} validation points)",
-                file=sys.stderr,
-            )
-            return 2
-        result = sess.tune(
-            scen.kernel, threshold, args=scen.points[point]
-        )
-        mode = f"point {point}"
-    name = scen.kernel.ir.name
-    print(
-        f"tune({name}): {mode}, threshold {threshold:g}"
-    )
-    print(
-        f"  configuration   = "
-        f"{result.config.describe() or '(uniform f64)'}"
-    )
-    print(f"  estimated error = {result.estimated_error:.6g}")
+def _print_tune(outcome, args) -> int:
+    out = outcome.payload
+    print(f"tune({out['kernel']}): {out['mode']}, threshold {out['threshold']:g}")
+    print(f"  configuration   = {out['configuration'] or '(uniform f64)'}")
+    print(f"  estimated error = {out['estimated_error']:.6g}")
     print("  contribution ranking (ascending):")
-    for var, err in result.ranking:
-        mark = "demoted" if var in result.demoted else ""
+    for var, err in out["ranking"]:
+        mark = "demoted" if var in out["demoted"] else ""
         print(f"    {var:>14s}  {err:.6g}  {mark}")
-    _write_json(
-        args,
-        {
-            "kernel": name,
-            "threshold": threshold,
-            "mode": mode,
-            "demoted": list(result.demoted),
-            "estimated_error": result.estimated_error,
-            "ranking": [[v, e] for v, e in result.ranking],
-        },
-    )
     return 0
 
 
-# -- analyze ------------------------------------------------------------------
-
-
-def cmd_analyze(args) -> int:
-    scenarios = _scenarios()
-    if args.list or not args.kernel:
-        _print_scenarios()
-        return 0 if args.list else 2
-    if args.kernel not in scenarios:
-        print(
-            f"unknown kernel {args.kernel!r} "
-            f"(available: {sorted(scenarios)})",
-            file=sys.stderr,
-        )
-        return 2
-    sess = _session_for(args)
-    kwargs: Dict[str, object] = {}
-    if args.demote_to is not None:
-        from repro.ir.types import DType
-
-        kwargs["demote_to"] = DType(args.demote_to)
-    report = sess.analyze(
-        args.kernel, threshold=args.threshold, **kwargs
-    )
-    if args.json == "-":
-        # bare --json: the report is the output — keep stdout pure
-        # JSON so it pipes into jq and the golden-schema tests
-        print(json.dumps(report.to_dict(), indent=2))
-        return 0
-    print(report.render())
-    if args.json is not None:
-        Path(args.json).write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n"
-        )
-        print(f"wrote {args.json}")
+def _print_analyze(outcome, args) -> int:
+    print(outcome.result.render())
     return 0
 
 
-# -- search -------------------------------------------------------------------
+def _print_search(outcome, args) -> int:
+    result, out = outcome.result, outcome.payload
+    print(result.summary())
+    _print_search_stats(out["stats"] or {})
+    if out["profile"] is not None:
+        from repro.obs.profile import format_summary
+
+        print(f"trace profile ({args.trace}):")
+        print(format_summary(out["profile"]))
+    ok = len(result.front) > 0 and result.front.is_consistent()
+    return 0 if ok else 1
 
 
-def _print_search_stats(result) -> None:
-    stats = result.stats or {}
+def _print_search_stats(stats: Dict[str, object]) -> None:
     ev = stats.get("evaluator", {})
     if ev:
         mode = ev.get("pool_mode") or "off (per-candidate)"
@@ -373,9 +222,56 @@ def _print_search_stats(result) -> None:
         )
 
 
-def _run_plan(args) -> int:
-    """Orchestrator mode (``plan`` subcommand, or legacy
-    ``search --plan``/``search --all``)."""
+_PRINTERS = {
+    "estimate": _print_estimate,
+    "sweep": _print_sweep,
+    "tune": _print_tune,
+    "analyze": _print_analyze,
+    "search": _print_search,
+}
+
+
+def cmd_operation(args) -> int:
+    """estimate / sweep / tune / analyze / search on one app scenario."""
+    from repro.obs import trace as obs_trace
+    from repro.session import ops
+
+    resume = getattr(args, "resume", False)
+    if resume and not args.store:
+        args.parser.error("--resume requires --store")
+    if args.list or not args.kernel:
+        _print_scenarios()
+        return 0 if args.list else 2
+    spec = _spec(args)
+    ops.validate(spec)
+    sess = _session_for(args)
+    trace_path = getattr(args, "trace", None)
+    if trace_path is not None:
+        obs_trace.enable(trace_path)
+    try:
+        with obs_trace.span(f"cli.{spec.kind}", kernel=spec.kernel):
+            outcome = ops.execute(sess, spec, resume=resume)
+    finally:
+        if trace_path is not None:
+            obs_trace.disable()
+    if args.json == "-":
+        # bare `analyze --json`: the payload is the output — keep
+        # stdout pure JSON so it pipes into jq
+        print(json.dumps(outcome.payload, indent=2))
+        return 0
+    code = _PRINTERS[spec.kind](outcome, args)
+    _write_json(args, outcome.payload)
+    return code
+
+
+# -- plan ---------------------------------------------------------------------
+
+
+def cmd_plan(args) -> int:
+    if args.plan is None and not args.all:
+        args.parser.error("plan requires --plan FILE or --all")
+    if args.plan is not None and args.all:
+        args.parser.error("--plan and --all are mutually exclusive")
     sess = _session_for(args)
     defaults: Dict[str, object] = {}
     if args.budget is not None:
@@ -396,50 +292,6 @@ def _run_plan(args) -> int:
     print(orch.report())
     _write_json(args, orch.to_dict())
     return 0 if orch.ok else 1
-
-
-def cmd_search(args) -> int:
-    from repro.obs import trace as obs_trace
-
-    if args.resume and not args.store:
-        args.parser.error("--resume requires --store")
-    if (args.plan or args.all) and not args.store:
-        args.parser.error("--plan/--all require --store")
-
-    trace_path = getattr(args, "trace", None)
-    if trace_path is not None:
-        obs_trace.enable(trace_path)
-    try:
-        if args.plan or args.all:
-            return _run_plan(args)
-
-        scen, code = _load_scenario(args)
-        if scen is None:
-            return code
-        sess = _session_for(args)
-        overrides: Dict[str, object] = {}
-        if args.budget is not None:
-            overrides["budget"] = args.budget
-        if args.threshold is not None:
-            overrides["threshold"] = args.threshold
-        if args.store is not None:
-            overrides["resume"] = args.resume
-        with obs_trace.span("cli.search", kernel=args.kernel):
-            result = scen.run(session=sess, **overrides)
-    finally:
-        if trace_path is not None:
-            obs_trace.disable()
-
-    print(result.summary())
-    _print_search_stats(result)
-    if result.profile is not None:
-        from repro.obs.profile import format_summary
-
-        print(f"trace profile ({trace_path}):")
-        print(format_summary(result.profile))
-    _write_json(args, result.to_dict())
-    ok = len(result.front) > 0 and result.front.is_consistent()
-    return 0 if ok else 1
 
 
 # -- runs ---------------------------------------------------------------------
@@ -538,10 +390,7 @@ def cmd_dist_run(args) -> int:
         # parallelism is across entries (the fleet), not inside one
         # search — each claimed entry evaluates serially
         "workers": 0,
-        "strategies": tuple(
-            s for s in args.strategies.split(",") if s
-        )
-        or SessionConfig().strategies,
+        "strategies": _strategies(args) or SessionConfig().strategies,
         "fault_plan": args.faults,
     }
     if args.ttl is not None:
@@ -583,8 +432,7 @@ def cmd_serve(args) -> int:
         obs_trace.enable(args.trace)
     config = SessionConfig(
         seed=args.seed,
-        strategies=tuple(s for s in args.strategies.split(",") if s)
-        or SessionConfig().strategies,
+        strategies=_strategies(args) or SessionConfig().strategies,
         fault_plan=getattr(args, "faults", None),
     )
     session = Session(config, cache=args.cache, store=args.store)
@@ -686,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--model", choices=_MODELS, default="taylor",
         help="error model (default: taylor, Eq. 1)",
     )
-    sp.set_defaults(func=cmd_estimate, parser=sp)
+    sp.set_defaults(func=cmd_operation, parser=sp)
 
     # sweep
     sp = sub.add_parser(
@@ -699,10 +547,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="error model (default: taylor, Eq. 1)",
     )
     sp.add_argument(
-        "--aggregate", default="max",
+        "--aggregate", default=None,
         help="batch-axis aggregation: max|mean|p95|... (default max)",
     )
-    sp.set_defaults(func=cmd_sweep, parser=sp)
+    sp.set_defaults(func=cmd_operation, parser=sp)
 
     # tune
     sp = sub.add_parser(
@@ -727,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--aggregate", default=None,
         help="robust-mode aggregation (default max = worst case)",
     )
-    sp.set_defaults(func=cmd_tune, parser=sp)
+    sp.set_defaults(func=cmd_operation, parser=sp)
 
     # analyze
     sp = sub.add_parser(
@@ -759,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the full report as JSON — to PATH, or to stdout "
              "when no path is given",
     )
-    sp.set_defaults(func=cmd_analyze, parser=sp)
+    sp.set_defaults(func=cmd_operation, parser=sp)
 
     # search
     sp = sub.add_parser(
@@ -798,14 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
              "uninterrupted run)",
     )
     sp.add_argument(
-        "--plan", type=Path, default=None,
-        help="legacy alias of the plan subcommand (requires --store)",
-    )
-    sp.add_argument(
-        "--all", action="store_true",
-        help="legacy alias of `plan --all` (requires --store)",
-    )
-    sp.add_argument(
         "--trace", type=Path, default=None,
         help="append span records (JSONL) to this trace file and "
              "print the per-phase profile (see the trace subcommand)",
@@ -816,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
              "deterministic chaos testing; see README failure "
              "semantics",
     )
-    sp.set_defaults(func=cmd_search, parser=sp)
+    sp.set_defaults(func=cmd_operation, parser=sp)
 
     # plan
     sp = sub.add_parser(
@@ -1043,14 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_trace, parser=sp)
 
     return ap
-
-
-def cmd_plan(args) -> int:
-    if args.plan is None and not args.all:
-        args.parser.error("plan requires --plan FILE or --all")
-    if args.plan is not None and args.all:
-        args.parser.error("--plan and --all are mutually exclusive")
-    return _run_plan(args)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -13,7 +13,6 @@ from repro.codegen.compile import (
     compile_primal,
     compile_raw,
     clear_config_kernel_cache,
-    config_kernel_cache_stats,
     config_lane_kernel,
     lower_config_pool,
     CompiledFunction,
@@ -35,7 +34,6 @@ __all__ = [
     "compile_primal",
     "compile_raw",
     "clear_config_kernel_cache",
-    "config_kernel_cache_stats",
     "config_lane_kernel",
     "lower_config_pool",
     "CompiledFunction",

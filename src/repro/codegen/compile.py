@@ -928,7 +928,7 @@ class ConfigLaneKernel:
 _CONFIG_KERNEL_MEMO: "OrderedDict[tuple, ConfigLaneKernel]" = OrderedDict()
 _CONFIG_KERNEL_MEMO_MAX = 32
 # hit/miss/unvectorizable counts live in the process-wide metrics
-# registry; config_kernel_cache_stats()/Session.stats() are views
+# registry; Session.stats() is a view
 _CK_HITS = obs_metrics.REGISTRY.counter(
     "repro_config_kernel_hits_total", "config-lane kernel cache hits"
 )
@@ -1029,8 +1029,8 @@ def config_lane_kernel(
 
 
 def _cache_stats() -> Dict[str, int]:
-    """Registry view of the config-kernel memo (non-deprecated internal
-    form of :func:`config_kernel_cache_stats`; same dict shape)."""
+    """Registry view of the config-kernel memo (behind
+    ``Session.stats()["config_kernel_cache"]``)."""
     with _CONFIG_KERNEL_LOCK:
         return {
             "entries": len(_CONFIG_KERNEL_MEMO),
@@ -1039,23 +1039,6 @@ def _cache_stats() -> Dict[str, int]:
             "misses": _CK_MISSES.value,
             "unvectorizable": _CK_UNVEC.value,
         }
-
-
-def config_kernel_cache_stats() -> Dict[str, int]:
-    """Occupancy and hit/miss counters of the config-kernel memo.
-
-    .. deprecated:: 1.3
-        Legacy wrapper, removed in 2.0 — the counts live in
-        :data:`repro.obs.metrics.REGISTRY` (``repro_config_kernel_*``);
-        read them via :meth:`repro.session.Session.stats`.
-    """
-    from repro.util.deprecation import warn_legacy
-
-    warn_legacy(
-        "repro.codegen.compile.config_kernel_cache_stats()",
-        'Session.stats()["config_kernel_cache"]',
-    )
-    return _cache_stats()
 
 
 def clear_config_kernel_cache() -> None:

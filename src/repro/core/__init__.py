@@ -9,11 +9,12 @@ This package is the paper's primary contribution, reproduced:
 * :mod:`repro.core.estimation` — the Error Estimation Module,
 * :mod:`repro.core.models` — error models (Taylor Eq. 1, ADAPT Eq. 2,
   FastApprox Algorithm 2, external user models),
-* :mod:`repro.core.api` — the user-facing ``estimate_error``/``gradient``
-  entry points (the analogue of ``clad::estimate_error``).
+* :mod:`repro.core.api` — :class:`ErrorEstimator` and ``gradient``
+  (the analogues of ``clad::estimate_error``/``clad::gradient``); the
+  error-estimation entry point is :meth:`repro.session.Session.estimate`.
 """
 
-from repro.core.api import estimate_error, gradient, ErrorEstimator, Gradient
+from repro.core.api import gradient, ErrorEstimator, Gradient
 from repro.core.models import (
     ErrorModel,
     TaylorModel,
@@ -25,7 +26,6 @@ from repro.core.models import (
 from repro.core.report import ErrorReport, GradientResult
 
 __all__ = [
-    "estimate_error",
     "gradient",
     "ErrorEstimator",
     "Gradient",

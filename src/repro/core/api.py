@@ -1,9 +1,10 @@
-"""Public entry points: ``gradient`` and ``estimate_error``.
+"""Public entry points: ``gradient`` and the error estimator.
 
 These mirror ``clad::gradient`` / ``clad::estimate_error`` (paper
 Listing 1): they take a :class:`~repro.frontend.registry.Kernel` (or an
 IR function), run the reverse-mode transformation — with the Error
-Estimation Module attached for ``estimate_error`` — push the result
+Estimation Module attached for :class:`ErrorEstimator`, which
+:meth:`repro.session.Session.estimate` serves from the memo — push the result
 through the optimization pipeline, compile it, and wrap execution in a
 friendly calling convention.
 """
@@ -301,34 +302,6 @@ def gradient(k: KernelLike, **kwargs: object) -> Gradient:
     return Gradient(k, **kwargs)  # type: ignore[arg-type]
 
 
-def estimate_error(
-    k: KernelLike,
-    model: Optional[ErrorModel] = None,
-    track: Sequence[str] = (),
-    **kwargs: object,
-) -> ErrorEstimator:
-    """Build an error-estimating adjoint of a kernel (Listing 1).
-
-    .. deprecated:: 1.1
-        Legacy wrapper, removed in 2.0 — use
-        :meth:`repro.session.Session.estimate`, which serves repeated
-        builds of the same kernel/model pair from the shared estimator
-        memo.
-
-    Example::
-
-        sess = repro.Session()
-        df = sess.estimate(func)
-        report = df.execute(1.95e-5, 1.37e-7)
-        print("Error in func:", report.total_error)
-    """
-    from repro.session import Session
-    from repro.util.deprecation import warn_legacy
-
-    warn_legacy("repro.estimate_error()", "Session.estimate()")
-    return Session().estimate(k, model=model, track=track, **kwargs)  # type: ignore[arg-type]
-
-
 # -- estimator reuse ----------------------------------------------------------
 #
 # Building an ErrorEstimator runs the reverse-mode transformation, the
@@ -349,8 +322,8 @@ _ESTIMATOR_MEMO: "OrderedDict[tuple, ErrorEstimator]" = OrderedDict()
 _ESTIMATOR_MEMO_MAX = 64
 # process-cumulative hit/miss counts live in the process-wide metrics
 # registry (misses = estimators compiled through the memo; uncacheable
-# builds count as misses too); estimator_memo_stats()/Session.stats()
-# are views over these instruments
+# builds count as misses too); Session.stats() is a view over these
+# instruments
 _MEMO_HITS = obs_metrics.REGISTRY.counter(
     "repro_memo_hits_total", "estimator memo hits"
 )
@@ -399,7 +372,7 @@ def cached_error_estimator(
     opt_level: int = 2,
     minimal_pushes: bool = True,
 ) -> ErrorEstimator:
-    """Like :func:`estimate_error`, but memoized by content.
+    """Build an error-estimating adjoint, memoized by content.
 
     Models that close over arbitrary callables (``cacheable = False``)
     and tracked-sensitivity estimators are never memoized.
@@ -465,8 +438,8 @@ def warm_start_estimator_memo(
 
 
 def _memo_stats() -> Dict[str, int]:
-    """Registry view of the estimator memo (non-deprecated internal
-    form of :func:`estimator_memo_stats`; same dict shape)."""
+    """Registry view of the estimator memo (behind
+    :meth:`repro.session.Session.estimator_memo_stats`)."""
     with _MEMO_LOCK:
         return {
             "entries": len(_ESTIMATOR_MEMO),
@@ -474,30 +447,6 @@ def _memo_stats() -> Dict[str, int]:
             "hits": _MEMO_HITS.value,
             "misses": _MEMO_MISSES.value,
         }
-
-
-def estimator_memo_stats() -> Dict[str, int]:
-    """Occupancy of the process-wide estimator memo.
-
-    .. deprecated:: 1.3
-        Legacy wrapper, removed in 2.0 — the counts live in
-        :data:`repro.obs.metrics.REGISTRY` (``repro_memo_*``); read
-        them via :meth:`repro.session.Session.stats`.
-
-    Useful for sizing parallel search runs: entries memoized in the
-    parent before a fork-started worker pool spawns are inherited by
-    every worker for free; entries built afterwards are per-worker.
-
-    ``hits``/``misses`` are process-cumulative; ``entries``/``capacity``
-    are gauges.
-    """
-    from repro.util.deprecation import warn_legacy
-
-    warn_legacy(
-        "repro.core.api.estimator_memo_stats()",
-        'Session.stats()["estimator_memo"]',
-    )
-    return _memo_stats()
 
 
 def clear_estimator_memo() -> None:

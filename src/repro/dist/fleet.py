@@ -45,13 +45,15 @@ from repro.search.orchestrator import (
     PlanEntry,
     _check_overrides,
     app_scenarios,
+    plan_entries,
     shard_entries,
 )
 from repro.search.pareto import ParetoFront, union_fronts
 from repro.search.store import DIST_DIRNAME, RunStore, StoreLike
 from repro.session.config import SessionConfig
+from repro.session.ops import integer, positive
 from repro.util import atomio
-from repro.util.errors import ConfigError, UnknownNameError
+from repro.util.errors import ConfigError
 
 from repro.dist.lease import LeaseLostError, LeaseManager
 
@@ -152,32 +154,6 @@ class FleetResult:
                 f"seed={prov.get('seed')}>"
             )
         return "\n".join(lines)
-
-
-def _normalize_entries(entries: Sequence[object]) -> List[PlanEntry]:
-    out: List[PlanEntry] = []
-    for entry in entries:
-        if isinstance(entry, PlanEntry):
-            out.append(entry)
-        elif isinstance(entry, str):
-            out.append(PlanEntry(scenario=entry))
-        elif isinstance(entry, Mapping):
-            out.append(PlanEntry.from_dict(entry))
-        else:
-            raise ConfigError(
-                f"fleet entries must be scenario names, dicts, or "
-                f"PlanEntry — got {type(entry).__name__}"
-            )
-    if not out:
-        raise ConfigError("fleet has no entries")
-    known = app_scenarios()
-    unknown = sorted({e.scenario for e in out if e.scenario not in known})
-    if unknown:
-        raise UnknownNameError(
-            f"unknown fleet scenarios {unknown} "
-            f"(available: {sorted(known)})"
-        )
-    return out
 
 
 def _entry_run_id(session, scen, merged: Mapping[str, object]) -> str:
@@ -400,8 +376,7 @@ def run_fleet(
     fleets end with the winner-front election over the per-shard
     stored fronts.
     """
-    if int(workers) < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers!r}")
+    workers = integer("workers", workers, 1)
     config = (
         session_config if session_config is not None else SessionConfig()
     )
@@ -409,12 +384,12 @@ def run_fleet(
         store if isinstance(store, RunStore)
         else RunStore(store, fsync=config.fsync)  # type: ignore[arg-type]
     )
-    plan_entries = _normalize_entries(entries)
+    checked = plan_entries(entries)
     fleet_defaults = dict(defaults or {})
     _check_overrides(fleet_defaults, "fleet defaults")
     if int(shards) > 1:
-        plan_entries = shard_entries(
-            plan_entries,
+        checked = shard_entries(
+            checked,
             int(shards),
             default_seed=int(
                 fleet_defaults.get("seed", config.seed)  # type: ignore[arg-type]
@@ -424,7 +399,7 @@ def run_fleet(
         plan_json = json.dumps(
             {
                 "defaults": fleet_defaults,
-                "entries": [e.to_dict() for e in plan_entries],
+                "entries": [e.to_dict() for e in checked],
             }
         )
     except TypeError as exc:
@@ -432,9 +407,7 @@ def run_fleet(
             f"fleet defaults must be JSON-expressible "
             f"(they are shipped to worker processes): {exc}"
         ) from None
-    ttl = float(ttl_s if ttl_s is not None else config.lease_ttl_s)
-    if ttl <= 0:
-        raise ConfigError(f"ttl_s must be > 0, got {ttl_s!r}")
+    ttl = positive("ttl_s", ttl_s if ttl_s is not None else config.lease_ttl_s)
     _FLEETS.inc()
 
     # the parent resolves run ids for result assembly with faults
@@ -447,7 +420,7 @@ def run_fleet(
         store=run_store,
     )
     resolved = _resolve_plan(
-        parent_session, fleet_defaults, plan_entries
+        parent_session, fleet_defaults, checked
     )
     if warm_start:
         # fork-started workers inherit the compiled estimator memo,

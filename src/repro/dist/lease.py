@@ -44,6 +44,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.obs import metrics as obs_metrics
+from repro.session.ops import positive
 from repro.obs import trace as obs_trace
 from repro.util import atomio
 from repro.util.errors import ConfigError, ReproError
@@ -142,10 +143,8 @@ class LeaseManager:
         owner: Optional[str] = None,
         ttl_s: float = DEFAULT_TTL_S,
     ) -> None:
-        if float(ttl_s) <= 0:
-            raise ConfigError(f"lease ttl_s must be > 0, got {ttl_s!r}")
+        self.ttl_s = positive("lease ttl_s", ttl_s)
         self.directory = Path(directory)
-        self.ttl_s = float(ttl_s)
         self.owner = owner or f"{socket.gethostname()}:{os.getpid()}"
         # tombstone names are holder-unique so racing stealers never
         # rename onto each other's tombstones

@@ -81,7 +81,7 @@ def kernel(fn: Callable) -> Kernel:
             return z
 
     The decorated object is a :class:`Kernel`; call it like the original
-    function, or hand it to :func:`repro.estimate_error` /
+    function, or hand it to :meth:`repro.Session.estimate` /
     :func:`repro.gradient`.
 
     :raises FrontendError: if the function falls outside the DSL.

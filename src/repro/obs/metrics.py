@@ -1,10 +1,9 @@
 """Process-wide metrics registry: counters, gauges, bounded histograms.
 
 One :class:`MetricsRegistry` (the module-level :data:`REGISTRY`) is the
-single store every subsystem's telemetry folds into.  The historical
-per-subsystem stat dicts (``estimator_memo_stats()``,
-``config_kernel_cache_stats()``, serve's ``ServiceMetrics``, …) are now
-*views* over this registry — same dict shapes, one source of truth.
+single store every subsystem's telemetry folds into.  The stat dicts
+(``Session.stats()``, serve's ``ServiceMetrics``, …) are *views* over
+this registry — one source of truth.
 
 Metric naming follows the Prometheus convention the exposition format
 implies: ``repro_<subsystem>_<what>_total`` for counters,

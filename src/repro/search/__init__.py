@@ -26,26 +26,24 @@ multi-objective search over (error, modelled cycles):
   construction memoized per worker;
 * :mod:`~repro.search.pareto` — :class:`ParetoFront` with dominance
   pruning and per-candidate provenance;
-* :mod:`~repro.search.api` — the :func:`search` driver and
+* :mod:`~repro.search.api` — the :func:`run_search` driver and
   :class:`SearchResult`;
 * :mod:`~repro.search.scenario` — per-app :class:`SearchScenario`
-  bundles backing the ``python -m repro search --kernel <app>`` CLI
-  (``python -m repro.search`` survives as a deprecated alias);
+  bundles backing the ``python -m repro search --kernel <app>`` CLI;
 * :mod:`~repro.search.store` — :class:`RunStore`: content-addressed
   on-disk persistence of run metadata, evaluation history, and Pareto
   fronts, with atomic checkpoints and crash-safe, bit-identical resume
-  (``search(..., store=, resume=)``);
+  (``Session.search(..., resume=True)``);
 * :mod:`~repro.search.orchestrator` — :class:`SearchOrchestrator`:
   durable multi-scenario search plans over a shared store with
   estimator-memo warm-start and cross-run comparison reporting
   (``python -m repro plan --plan plan.json --store runs/``).
 
-The canonical entry point is :meth:`repro.session.Session.search` /
-``session.plan`` / ``session.runs``; :func:`repro.search.search`
-remains as a deprecated wrapper over a default session (removal 2.0).
+The entry point is :meth:`repro.session.Session.search` /
+``session.plan`` / ``session.runs``.
 """
 
-from repro.search.api import SearchResult, search, search_run_id
+from repro.search.api import SearchResult, search_run_id
 from repro.search.evaluate import (
     CandidateEvaluator,
     EvaluatedCandidate,
@@ -91,7 +89,6 @@ __all__ = [
     "get_strategy",
     "register_strategy",
     "search_run_id",
-    "search",
     "shard_entries",
     "union_fronts",
 ]

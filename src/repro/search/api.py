@@ -19,12 +19,9 @@ session facade::
     print(result.front)          # the (error, cycles) Pareto front
     result.best_under(1e-6)      # cheapest config within threshold
 
-(``repro.search.search(...)`` survives as a deprecated wrapper that
-builds a throwaway default session; removal in 2.0.)
-
 The driver wires the pieces together: per-candidate contributions are
 estimated once with the ADAPT demotion model (aggregated over the input
-sweep when one is given, exactly like ``robust_tune``), the chosen
+sweep when one is given, exactly like robust tuning), the chosen
 strategies run in sequence over a shared budget and a shared
 (optionally process-parallel) evaluator, and the Pareto front is
 assembled from the full evaluation history.
@@ -78,7 +75,6 @@ from repro.sweep.aggregate import AggregatorSpec, resolve_aggregator
 from repro.sweep.cache import SweepCache
 from repro.sweep.engine import CacheLike, run_sweep
 from repro.tuning.config import matches_inlined
-from repro.util.deprecation import warn_legacy
 from repro.util.errors import ConfigError, InputError
 
 #: inlining suffixes appended to callee locals (possibly stacked)
@@ -433,9 +429,8 @@ def run_search(
 ) -> SearchResult:
     """Multi-objective precision search over (error, modelled cycles).
 
-    The search driver proper — the non-deprecated implementation
-    behind :meth:`repro.session.Session.search`; :func:`search` is the
-    legacy wrapper around it.
+    The search driver proper, behind
+    :meth:`repro.session.Session.search`.
 
     :param k: kernel (or IR function) to search.
     :param points: validation input tuples; each candidate is executed
@@ -736,64 +731,3 @@ def run_search(
         profile=profile,
     )
 
-
-def search(
-    k: KernelLike,
-    points: Sequence[Sequence[object]],
-    threshold: float,
-    candidates: Optional[Sequence[str]] = None,
-    samples: Optional[Mapping[str, Sequence[float]]] = None,
-    fixed: Optional[Mapping[str, object]] = None,
-    demote_to: DType = DType.F32,
-    strategies: Sequence[str] = DEFAULT_STRATEGIES,
-    budget: int = 64,
-    workers: int = 0,
-    cache: CacheLike = None,
-    aggregate: AggregatorSpec = "max",
-    estimate_model=None,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    approx: Optional[Set[str]] = None,
-    seed: int = 0,
-    error_metric: str = "worst",
-    config_batch: bool = True,
-    store: StoreLike = None,
-    resume: bool = False,
-    label: Optional[str] = None,
-    checkpoint_every: int = 1,
-) -> SearchResult:
-    """Multi-objective precision search over (error, modelled cycles).
-
-    .. deprecated:: 1.1
-        Legacy wrapper, removed in 2.0 — use
-        :meth:`repro.session.Session.search`, which shares the
-        session's sweep cache, run store, and estimator memo across
-        searches.  The signature (positional parameters included)
-        matches the 1.0 entry point; results are bit-identical.
-    """
-    warn_legacy("repro.search.search()", "Session.search()")
-    from repro.session import Session
-
-    return Session().search(
-        k,
-        points,
-        threshold,
-        candidates=candidates,
-        samples=samples,
-        fixed=fixed,
-        demote_to=demote_to,
-        strategies=strategies,
-        budget=budget,
-        workers=workers,
-        cache=cache,
-        aggregate=aggregate,
-        estimate_model=estimate_model,
-        cost_model=cost_model,
-        approx=approx,
-        seed=seed,
-        error_metric=error_metric,
-        config_batch=config_batch,
-        store=store,
-        resume=resume,
-        label=label,
-        checkpoint_every=checkpoint_every,
-    )

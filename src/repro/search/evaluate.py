@@ -139,7 +139,7 @@ class CandidateEvaluator:
         estimated error from the batch sweep engine.
     :param fixed: lane-uniform values for unswept parameters.
     :param aggregate: how per-sample estimates reduce (default worst
-        case, matching ``robust_tune``).
+        case, matching robust tuning).
     :param cache: optional :class:`repro.sweep.SweepCache` (or directory)
         for the per-candidate sweeps — configurations re-proposed across
         strategies, runs, or processes become cache hits.

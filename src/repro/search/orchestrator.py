@@ -26,8 +26,8 @@ long enough that crashes, OOM kills, and CI timeouts are facts of life.
 
 CLI::
 
-    python -m repro.search --plan plan.json --store runs/
-    python -m repro.search --all --store runs/ --resume
+    python -m repro plan --plan plan.json --store runs/
+    python -m repro plan --all --store runs/ --resume
 """
 
 from __future__ import annotations
@@ -65,13 +65,23 @@ _ALLOWED_OVERRIDES = frozenset(
 )
 
 
-def _check_overrides(overrides: Mapping[str, object], what: str) -> None:
+def _check_overrides(
+    overrides: Mapping[str, object], what: str
+) -> Dict[str, object]:
+    """``overrides`` with every value normalised by its knob check
+    (:data:`repro.session.ops.CHECKS`); unknown keys and bad values
+    raise :class:`ConfigError` at load time, not mid-plan."""
+    from repro.session.ops import CHECKS, check
+
     bad = sorted(set(overrides) - _ALLOWED_OVERRIDES)
     if bad:
         raise ConfigError(
             f"{what}: unknown override keys {bad} "
             f"(allowed: {sorted(_ALLOWED_OVERRIDES)})"
         )
+    return {
+        k: check(k, v) if k in CHECKS else v for k, v in overrides.items()
+    }
 
 
 def app_scenarios() -> Dict[str, object]:
@@ -97,14 +107,10 @@ class PlanEntry:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, object]) -> "PlanEntry":
-        overrides = {
-            k: v for k, v in raw.items() if k not in _ENTRY_META_KEYS
-        }
-        _check_overrides(
-            overrides, f"plan entry {raw.get('scenario')!r}"
+        overrides = _check_overrides(
+            {k: v for k, v in raw.items() if k not in _ENTRY_META_KEYS},
+            f"plan entry {raw.get('scenario')!r}",
         )
-        if "strategies" in overrides:
-            overrides["strategies"] = tuple(overrides["strategies"])
         return cls(
             scenario=str(raw["scenario"]),
             overrides=overrides,
@@ -119,6 +125,39 @@ class PlanEntry:
         if self.scenario_args:
             out["scenario_args"] = dict(self.scenario_args)
         return out
+
+
+def plan_entries(entries: Sequence[object]) -> List[PlanEntry]:
+    """A checked plan from scenario names, plan-entry dicts and
+    :class:`PlanEntry` instances.
+
+    Fails fast on an empty plan or a typo'd scenario name, instead of
+    running every valid sibling first and reporting the bad entry at
+    the end.
+    """
+    out: List[PlanEntry] = []
+    for entry in entries:
+        if isinstance(entry, PlanEntry):
+            out.append(entry)
+        elif isinstance(entry, str):
+            out.append(PlanEntry(scenario=entry))
+        elif isinstance(entry, Mapping):
+            out.append(PlanEntry.from_dict(entry))
+        else:
+            raise ConfigError(
+                f"plan entries must be scenario names, dicts, or "
+                f"PlanEntry — got {type(entry).__name__}"
+            )
+    if not out:
+        raise ConfigError("plan has no entries")
+    known = app_scenarios()
+    unknown = [e.scenario for e in out if e.scenario not in known]
+    if unknown:
+        raise UnknownNameError(
+            f"unknown plan scenarios {unknown} "
+            f"(available: {sorted(known)})"
+        )
+    return out
 
 
 def shard_entries(
@@ -138,12 +177,13 @@ def shard_entries(
     :class:`SearchOrchestrator` over the same sharded entries is the
     bit-identical reference for any fleet execution of them.
     """
-    if int(shards) < 1:
-        raise ConfigError(f"shards must be >= 1, got {shards!r}")
+    from repro.session.ops import check
+
+    shards = check("shards", shards)
     out: List[PlanEntry] = []
     for entry in entries:
         base_seed = int(entry.overrides.get("seed", default_seed))  # type: ignore[arg-type]
-        for s in range(int(shards)):
+        for s in range(shards):
             overrides = dict(entry.overrides)
             overrides["seed"] = base_seed + s
             out.append(
@@ -174,7 +214,8 @@ class SearchOrchestrator:
     """Runs a multi-scenario, multi-strategy search plan durably.
 
     :param store: the shared :class:`RunStore` (or its directory).
-    :param entries: the plan, as :class:`PlanEntry` instances.
+    :param entries: the plan: scenario names, plan-entry dicts or
+        :class:`PlanEntry` instances (see :func:`plan_entries`).
     :param resume: resume entries from the store when their runs exist
         (default) — the orchestrator is safe to re-launch after a crash
         and will not redo completed work.
@@ -188,18 +229,18 @@ class SearchOrchestrator:
     def __init__(
         self,
         store: Union[RunStore, str, Path],
-        entries: Sequence[PlanEntry],
+        entries: Sequence[object],
         resume: bool = True,
         defaults: Optional[Mapping[str, object]] = None,
         session=None,
     ) -> None:
+        # check the plan before the store directory is created
+        self.entries = plan_entries(entries)
+        self.defaults = _check_overrides(defaults or {}, "plan defaults")
         self.store = (
             store if isinstance(store, RunStore) else RunStore(store)
         )
-        self.entries = list(entries)
         self.resume = bool(resume)
-        self.defaults = dict(defaults or {})
-        _check_overrides(self.defaults, "plan defaults")
         self.session = session
         self.runs: List[PlanRun] = []
 
@@ -230,20 +271,8 @@ class SearchOrchestrator:
               ]
             }
         """
-        entries = [
-            PlanEntry.from_dict(raw) for raw in plan.get("entries", [])
-        ]
-        if not entries:
-            raise ConfigError("plan has no entries")
-        known = app_scenarios()
-        unknown = [e.scenario for e in entries if e.scenario not in known]
-        if unknown:
-            raise UnknownNameError(
-                f"unknown plan scenarios {unknown} "
-                f"(available: {sorted(known)})"
-            )
         return cls(
-            store, entries, resume=resume,
+            store, plan.get("entries", []), resume=resume,
             defaults=plan.get("defaults") or {},
             session=session,
         )
@@ -271,8 +300,6 @@ class SearchOrchestrator:
         entries = [
             PlanEntry(scenario=name) for name in sorted(app_scenarios())
         ]
-        if "strategies" in defaults:
-            defaults["strategies"] = tuple(defaults["strategies"])  # type: ignore[arg-type]
         return cls(
             store, entries, resume=resume, defaults=defaults,
             session=session,

@@ -3,7 +3,7 @@
 Each benchmark app (:mod:`repro.apps`) exposes a ``search_scenario()``
 returning one of these — kernel, validation points, input sweep, the
 candidate demotion set, and the error threshold — so the CLI
-(``python -m repro.search --kernel <app>``), the benchmarks, and the
+(``python -m repro search --kernel <app>``), the benchmarks, and the
 tests all drive the same definitions.
 """
 

@@ -1,7 +1,7 @@
 """Tuning-as-a-service: a long-lived job server over one Session.
 
 ``python -m repro serve --store runs/`` turns the library into a small
-HTTP/JSON service: clients POST estimate/sweep/tune/search job specs
+HTTP/JSON service: clients POST estimate/sweep/tune/analyze/search job specs
 and poll for results, while every job executes on a bounded thread
 pool over **one shared** :class:`repro.session.Session` — so the
 estimator memo, sweep cache, config-kernel cache, and run store do for
@@ -11,10 +11,11 @@ a stream of requests exactly what they do for a single script, and
 Stdlib only (asyncio + a tiny HTTP/1.1 layer in
 :mod:`~repro.serve.http`); no web framework.
 
-* :mod:`~repro.serve.jobs` — :class:`JobSpec` (frozen, validated,
-  content-hash ids so identical submissions dedupe),
-  :class:`JobRegistry` (bounded queue, budgets, deadlines, cooperative
-  cancel), :class:`JobJournal` (atomic per-job records);
+* :mod:`~repro.serve.jobs` — :class:`JobRegistry` (bounded queue,
+  budgets, deadlines, cooperative cancel) and :class:`JobJournal`
+  (atomic per-job records); a job is a
+  :class:`~repro.session.ops.JobSpec` (frozen, validated, content-hash
+  ids so identical submissions dedupe), the spec the CLI builds too;
 * :mod:`~repro.serve.app` — the route table, pure and
   transport-free;
 * :mod:`~repro.serve.metrics` — the ``/v1/metrics`` snapshot;
@@ -32,12 +33,12 @@ from repro.serve.jobs import (
     JobInterrupted,
     JobJournal,
     JobRegistry,
-    JobSpec,
     JobTimeout,
     QueueFullError,
 )
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.server import ReproServer, run_server
+from repro.session.ops import JobSpec
 
 __all__ = [
     "HttpError",

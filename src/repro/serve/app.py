@@ -31,11 +31,11 @@ from repro.serve.http import HttpError, HttpRequest, PlainText
 from repro.serve.jobs import (
     COMPLETED,
     JobRegistry,
-    JobSpec,
     QueueFullError,
     RUNNING,
     QUEUED,
 )
+from repro.session.ops import JobSpec
 from repro.util.errors import ConfigError, UnknownNameError
 
 #: fallback retry hint when the registry can't provide a live one

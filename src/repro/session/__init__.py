@@ -7,12 +7,10 @@
   a stable content fingerprint (see :mod:`repro.session.config`);
 * :class:`RunsView` — run-store list/compare/prune/diff, the object
   behind ``session.runs()`` and ``python -m repro runs`` (see
-  :mod:`repro.session.runs`).
-
-The legacy free functions (``repro.estimate_error``,
-``repro.sweep_error``, ``repro.greedy_tune``, ``repro.robust_tune``,
-``repro.search.search``) are deprecated thin wrappers constructing a
-default session; they warn once per callsite and disappear in 2.0.
+  :mod:`repro.session.runs`);
+* :mod:`repro.session.ops` — the estimate / sweep / tune / analyze /
+  search operations on a named app scenario, declared once for the
+  CLI, the job server and plan files.
 """
 
 from repro.session.config import SessionConfig

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 from repro.ir.types import DType
+from repro.session.ops import check, integer, positive
 from repro.util.errors import ConfigError
 
 #: serializable aggregator specs (callables stay per-call arguments)
@@ -100,49 +101,24 @@ class SessionConfig:
         # numeric fields are coerced, not just checked, so a config
         # rebuilt from hand-edited JSON ("workers": "4") cannot smuggle
         # strings into comparisons deep inside the search driver
-        for name in ("opt_level", "budget", "checkpoint_every",
-                     "workers", "seed"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, int(value))
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"{name} must be an integer, got {value!r}"
-                ) from None
+        for name in ("budget", "checkpoint_every", "workers", "seed"):
+            object.__setattr__(self, name, check(name, getattr(self, name)))
+        object.__setattr__(
+            self, "opt_level", integer("opt_level", self.opt_level)
+        )
         if self.opt_level not in (0, 1, 2):
             raise ConfigError(
                 f"opt_level must be 0, 1, or 2, got {self.opt_level!r}"
             )
-        if self.budget < 1:
-            raise ConfigError(f"budget must be >= 1, got {self.budget!r}")
-        if self.checkpoint_every < 1:
-            raise ConfigError(
-                f"checkpoint_every must be >= 1, "
-                f"got {self.checkpoint_every!r}"
-            )
-        if self.workers < 0:
-            raise ConfigError(f"workers must be >= 0, got {self.workers!r}")
         if callable(self.aggregate):
             raise ConfigError(
                 "SessionConfig.aggregate must be serializable (a name or "
                 "a ('percentile', q) pair); pass callables per call "
                 "instead"
             )
-        if isinstance(self.strategies, str):
-            # tuple("greedy") would silently become per-character names
-            raise ConfigError(
-                "strategies must be a sequence of names, not a bare "
-                f"string — got {self.strategies!r}"
-            )
-        if not isinstance(self.strategies, tuple):
-            object.__setattr__(
-                self, "strategies", tuple(self.strategies)
-            )
-        bad = [s for s in self.strategies if not isinstance(s, str)]
-        if bad:
-            raise ConfigError(
-                f"strategies must be names (str), got {bad!r}"
-            )
+        object.__setattr__(
+            self, "strategies", check("strategies", self.strategies)
+        )
         if isinstance(self.aggregate, list):
             object.__setattr__(
                 self, "aggregate", tuple(self.aggregate)
@@ -156,18 +132,9 @@ class SessionConfig:
             )
         object.__setattr__(self, "fsync", bool(self.fsync))
         object.__setattr__(self, "analyze", bool(self.analyze))
-        try:
-            object.__setattr__(
-                self, "lease_ttl_s", float(self.lease_ttl_s)
-            )
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"lease_ttl_s must be a number, got {self.lease_ttl_s!r}"
-            ) from None
-        if self.lease_ttl_s <= 0:
-            raise ConfigError(
-                f"lease_ttl_s must be > 0, got {self.lease_ttl_s!r}"
-            )
+        object.__setattr__(
+            self, "lease_ttl_s", positive("lease_ttl_s", self.lease_ttl_s)
+        )
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
@@ -195,17 +162,6 @@ class SessionConfig:
         data = dict(raw)
         if isinstance(data.get("aggregate"), list):
             data["aggregate"] = tuple(data["aggregate"])
-        if "strategies" in data and not isinstance(
-            data["strategies"], str
-        ):
-            # a bare string is left alone for __post_init__ to reject
-            try:
-                data["strategies"] = tuple(data["strategies"])
-            except TypeError:
-                raise ConfigError(
-                    f"strategies must be a sequence of names, "
-                    f"got {data['strategies']!r}"
-                ) from None
         return cls(**data)  # type: ignore[arg-type]
 
     def to_json(self) -> str:

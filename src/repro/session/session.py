@@ -19,9 +19,9 @@ arguments.  A :class:`Session` owns those resources once::
 
 Defaults come from a frozen, serializable :class:`SessionConfig`; every
 result is stamped with session provenance (session id, config
-fingerprint, method, per-session sequence number).  The legacy free
-functions (``repro.estimate_error`` & co.) remain as deprecated thin
-wrappers constructing a default session, bit-identical by contract.
+fingerprint, method, per-session sequence number).  The operations on
+a named app scenario — what the CLI and the job server expose — are
+declared once in :mod:`repro.session.ops`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Dict,
-    List,
     Mapping,
     Optional,
     Sequence,
@@ -56,7 +55,7 @@ from repro.sweep.cache import SweepCache
 from repro.sweep.engine import run_sweep
 from repro.tuning.greedy import TuningResult, run_greedy_tune
 from repro.tuning.robust import run_robust_tune
-from repro.util.errors import ConfigError, UnknownNameError
+from repro.util.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.search.store import RunStore
@@ -353,15 +352,9 @@ class Session:
         from repro.search.scenario import SearchScenario
 
         if isinstance(k, str):
-            from repro.search.orchestrator import app_scenarios
+            from repro.session.ops import scenario
 
-            scenarios = app_scenarios()
-            if k not in scenarios:
-                raise UnknownNameError(
-                    f"unknown app scenario {k!r} "
-                    f"(available: {sorted(scenarios)})"
-                )
-            k = scenarios[k].search_scenario()
+            k = scenario(k)
         if isinstance(k, SearchScenario):
             scen = k
             if points is None:
@@ -636,10 +629,7 @@ class Session:
         and per-entry overrides win.  Returns the (not yet run)
         :class:`~repro.search.orchestrator.SearchOrchestrator`.
         """
-        from repro.search.orchestrator import (
-            PlanEntry,
-            SearchOrchestrator,
-        )
+        from repro.search.orchestrator import SearchOrchestrator
 
         run_store = _pick(store, self._store)
         if run_store is None:
@@ -671,8 +661,7 @@ class Session:
         if plan_file is not None:
             from repro.search.orchestrator import _check_overrides
 
-            explicit = dict(defaults or {})
-            _check_overrides(explicit, "plan defaults")
+            explicit = _check_overrides(defaults or {}, "plan defaults")
             orch = SearchOrchestrator.from_plan_file(
                 plan_file, store=run_store, resume=resume, session=self
             )
@@ -687,38 +676,9 @@ class Session:
             return SearchOrchestrator.over_all_apps(
                 run_store, resume=resume, session=self, **merged
             )
-        plan_entries: List[PlanEntry] = []
-        for entry in entries or ():
-            if isinstance(entry, PlanEntry):
-                plan_entries.append(entry)
-            elif isinstance(entry, str):
-                plan_entries.append(PlanEntry(scenario=entry))
-            elif isinstance(entry, Mapping):
-                plan_entries.append(PlanEntry.from_dict(entry))
-            else:
-                raise ConfigError(
-                    f"plan entries must be scenario names, dicts, or "
-                    f"PlanEntry — got {type(entry).__name__}"
-                )
-        if not plan_entries:
-            raise ConfigError("plan has no entries")
-        # fail fast on typo'd scenario names (like the plan-file path)
-        # instead of running every valid sibling first and reporting
-        # the bad entry as 'failed' at the end
-        from repro.search.orchestrator import app_scenarios
-
-        known = app_scenarios()
-        unknown = [
-            e.scenario for e in plan_entries if e.scenario not in known
-        ]
-        if unknown:
-            raise UnknownNameError(
-                f"unknown plan scenarios {unknown} "
-                f"(available: {sorted(known)})"
-            )
         return SearchOrchestrator(
             run_store,
-            plan_entries,
+            entries or (),
             resume=resume,
             defaults=merged,
             session=self,

@@ -14,11 +14,11 @@ sweep a first-class, fast operation:
   disk) keyed by IR hash, model, and input digest,
 * :mod:`~repro.sweep.aggregate` — max / mean / percentile reduction of
   per-point results into distribution statistics,
-* :mod:`~repro.sweep.engine` — the :func:`sweep_error` orchestration
-  entry point.
+* :mod:`~repro.sweep.engine` — :func:`~repro.sweep.engine.run_sweep`,
+  the engine behind :meth:`repro.session.Session.sweep`.
 
 Distribution-robust mixed-precision tuning on top of this lives in
-:func:`repro.tuning.robust_tune`.
+``Session.tune(k, threshold, samples=...)``.
 """
 
 from repro.sweep.aggregate import (
@@ -33,7 +33,7 @@ from repro.sweep.batch import (
     ConfigBatchReport,
 )
 from repro.sweep.cache import SweepCache, digest_inputs, make_key
-from repro.sweep.engine import build_args, sweep_error
+from repro.sweep.engine import build_args
 from repro.sweep.samplers import explicit_sweep, grid_sweep, random_sweep
 
 __all__ = [
@@ -51,5 +51,4 @@ __all__ = [
     "random_sweep",
     "resolve_aggregator",
     "summarize",
-    "sweep_error",
 ]

@@ -6,7 +6,7 @@ decision needs one number per variable.  :func:`summarize` reduces a
 named aggregator:
 
 * ``"max"`` — worst case over the distribution (the conservative choice
-  for threshold-driven tuning, and the default of ``robust_tune``),
+  for threshold-driven tuning, and the default of robust tuning),
 * ``"mean"`` — expected error,
 * ``"p<q>"`` (e.g. ``"p95"``) or ``("percentile", q)`` — tail quantile,
 * any callable ``(np.ndarray) -> float``.

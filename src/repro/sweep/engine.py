@@ -16,9 +16,6 @@ sweep subsystem::
     )
     report.total_error        # (N,) per-point estimates
 
-(:func:`sweep_error` survives as a deprecated free-function wrapper;
-removal in 2.0.)
-
 It reuses compiled estimators across calls (content-addressed memo in
 :mod:`repro.core.api`), consults the result cache before evaluating,
 and prefers the vectorized batch backend with a transparent scalar-loop
@@ -39,7 +36,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.sweep.batch import BatchReport
 from repro.sweep.cache import SweepCache, make_key
-from repro.util.deprecation import warn_legacy
 from repro.util.errors import ExecutionError
 
 CacheLike = Union[None, str, Path, SweepCache]
@@ -98,10 +94,16 @@ def run_sweep(
 ) -> BatchReport:
     """The sweep engine proper — see :meth:`repro.session.Session.sweep`.
 
-    This is the non-deprecated implementation shared by the session
-    facade and the internal callers (robust tuning, candidate
-    evaluation, contribution ranking); :func:`sweep_error` is the
-    legacy wrapper around it.
+    Shared by the session facade and the internal callers (robust
+    tuning, candidate evaluation, contribution ranking).
+
+    :param samples: ``{param: length-N array}`` — swept parameters (see
+        :mod:`repro.sweep.samplers`).
+    :param fixed: lane-uniform values for the remaining parameters.
+    :param model: error model (default: Taylor, Eq. 1).
+    :param cache: ``None``, a directory path, or a :class:`SweepCache` —
+        repeated estimates (same kernel content, model, inputs) are
+        served from it without re-running the adjoint.
     """
     model = model or TaylorModel()
     with obs_trace.span("sweep.run", kernel=_kernel_name(k)) as sp:
@@ -138,36 +140,3 @@ def _kernel_name(k: KernelLike) -> str:
     name = getattr(k, "name", None)
     return name if isinstance(name, str) else "<ir>"
 
-
-def sweep_error(
-    k: KernelLike,
-    samples: Mapping[str, Sequence[float]],
-    fixed: Optional[Mapping[str, object]] = None,
-    model: Optional[ErrorModel] = None,
-    opt_level: int = 2,
-    minimal_pushes: bool = True,
-    cache: CacheLike = None,
-) -> BatchReport:
-    """Estimate FP error over a batch of input points.
-
-    .. deprecated:: 1.1
-        Legacy wrapper, removed in 2.0 — use
-        :meth:`repro.session.Session.sweep`, which shares one result
-        cache and estimator memo across the whole workflow.
-
-    :param k: kernel (or IR function) to analyze.
-    :param samples: ``{param: length-N array}`` — swept parameters (see
-        :mod:`repro.sweep.samplers`).
-    :param fixed: lane-uniform values for the remaining parameters.
-    :param model: error model (default: Taylor, Eq. 1).
-    :param cache: ``None``, a directory path, or a :class:`SweepCache` —
-        repeated estimates (same kernel content, model, inputs) are
-        served from it without re-running the adjoint.
-    """
-    warn_legacy("repro.sweep_error()", "Session.sweep()")
-    from repro.session import Session
-
-    return Session(cache=cache).sweep(
-        k, samples, fixed=fixed, model=model,
-        opt_level=opt_level, minimal_pushes=minimal_pushes,
-    )

@@ -12,13 +12,12 @@ program (actual error) and costing it with the performance model
 Beyond the single greedy pass, the multi-objective search subsystem
 (:mod:`repro.search`: Pareto fronts over error × modelled cycles,
 delta-debugging and annealing strategies, parallel candidate
-evaluation) is re-exported here — ``repro.tuning.search`` is
-``repro.search.search``.
+evaluation) has its result and strategy-registry types re-exported
+here.  The tuning entry point is :meth:`repro.session.Session.tune`.
 """
 
 from repro.tuning.config import PrecisionConfig, apply_precision
-from repro.tuning.greedy import greedy_select, greedy_tune, TuningResult
-from repro.tuning.robust import robust_tune
+from repro.tuning.greedy import greedy_select, TuningResult
 from repro.tuning.validate import validate_config, ConfigValidation
 from repro.tuning.perforation import (
     iteration_sensitivity,
@@ -30,8 +29,6 @@ __all__ = [
     "PrecisionConfig",
     "apply_precision",
     "greedy_select",
-    "greedy_tune",
-    "robust_tune",
     "TuningResult",
     "validate_config",
     "ConfigValidation",
@@ -41,7 +38,6 @@ __all__ = [
     "find_split_iteration",
     "estimate_split_speedup",
     # lazy re-exports of the Pareto search subsystem (see __getattr__)
-    "search",
     "ParetoFront",
     "SearchResult",
     "STRATEGIES",
@@ -55,7 +51,6 @@ from repro.tuning.validate import measure_reference, ReferencePoint  # noqa: E40
 #: because the search subsystem imports the tuning submodules (config,
 #: greedy) and an eager import here would be circular
 _SEARCH_EXPORTS = (
-    "search",
     "ParetoFront",
     "SearchResult",
     "STRATEGIES",

@@ -11,9 +11,9 @@ Exactly that: variables are sorted by their estimated demotion-error
 contribution (the ``_delta_<var>`` registers under the ADAPT model) and
 demoted greedily while the running sum stays within the threshold.
 
-:func:`greedy_tune` decides from **one** input point — the paper's
+:func:`run_greedy_tune` decides from **one** input point — the paper's
 workflow.  Its Discussion concedes the result is input-dependent;
-:func:`repro.tuning.robust.robust_tune` is the distribution-robust
+:func:`repro.tuning.robust.run_robust_tune` is the distribution-robust
 variant that feeds *aggregated* contributions from a whole input sweep
 through the same greedy core.
 """
@@ -30,7 +30,6 @@ from repro.frontend.registry import Kernel
 from repro.ir import nodes as N
 from repro.ir.types import DType
 from repro.tuning.config import PrecisionConfig
-from repro.util.deprecation import warn_legacy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sweep.batch import BatchReport
@@ -47,12 +46,12 @@ class TuningResult:
     #: estimated total error of the chosen configuration
     estimated_error: float
     #: the full error report the decision was based on — for
-    #: ``robust_tune`` this is the report of the worst-case sample
+    #: robust tuning this is the report of the worst-case sample
     report: Optional[ErrorReport] = field(repr=False, default=None)
     #: per-candidate estimated contributions, ascending
     ranking: List = field(default_factory=list)
     threshold: float = 0.0
-    #: the per-point sweep results behind a ``robust_tune`` decision
+    #: the per-point sweep results behind a robust tuning decision
     sweep: Optional["BatchReport"] = field(repr=False, default=None)
     #: session provenance (session/config identity, method, sequence
     #: number) — stamped by :class:`repro.session.Session`
@@ -123,8 +122,15 @@ def run_greedy_tune(
     """The single-point greedy tuner proper — see
     :meth:`repro.session.Session.tune`.
 
-    Non-deprecated implementation shared by the session facade;
-    :func:`greedy_tune` is the legacy wrapper around it.
+    :param args: representative inputs (the result is
+        input-dependent; tune over a sweep with
+        :func:`~repro.tuning.robust.run_robust_tune` instead of relying
+        on one point).
+    :param threshold: maximum acceptable accumulated estimated error.
+    :param model: error model; default is the ADAPT demotion model
+        (Eq. 2), as in the paper's mixed-precision benchmarks.
+    :param candidates: restrict demotion candidates (default: every
+        variable with an error register).
     """
     est = cached_error_estimator(
         k, model=model or AdaptModel(demote_to),
@@ -143,38 +149,3 @@ def run_greedy_tune(
         threshold=threshold,
     )
 
-
-def greedy_tune(
-    k: Union[Kernel, N.Function],
-    args: Sequence[object],
-    threshold: float,
-    model: Optional[ErrorModel] = None,
-    candidates: Optional[Sequence[str]] = None,
-    demote_to: DType = DType.F32,
-) -> TuningResult:
-    """Find a mixed-precision configuration under an error threshold.
-
-    .. deprecated:: 1.1
-        Legacy wrapper, removed in 2.0 — use
-        :meth:`repro.session.Session.tune` (``session.tune(k,
-        threshold, args=args)``).
-
-    :param k: the kernel to tune.
-    :param args: representative inputs (the paper's Discussion notes the
-        result is input-dependent; sweep inputs with
-        :func:`~repro.tuning.robust.robust_tune` instead of relying on
-        one point).
-    :param threshold: maximum acceptable accumulated estimated error.
-    :param model: error model; default is the ADAPT demotion model
-        (Eq. 2), as in the paper's mixed-precision benchmarks.
-    :param candidates: restrict demotion candidates (default: every
-        variable with an error register).
-    :param demote_to: target precision (binary32 by default).
-    """
-    warn_legacy("repro.greedy_tune()", "Session.tune(k, threshold, args=...)")
-    from repro.session import Session
-
-    return Session().tune(
-        k, threshold, args=args, robust=False, model=model,
-        candidates=candidates, demote_to=demote_to,
-    )

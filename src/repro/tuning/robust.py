@@ -2,7 +2,7 @@
 
 The paper's greedy tuner decides from **one** input point; its
 Discussion concedes the choice is input-dependent and that callers
-should sweep inputs.  :func:`robust_tune` does exactly that: it runs a
+should sweep inputs.  :func:`run_robust_tune` does exactly that: it runs a
 batched error sweep over an input distribution, aggregates each
 variable's demotion-error contribution across the whole distribution
 (worst case by default), and feeds the aggregated contributions through
@@ -33,7 +33,6 @@ from repro.sweep.aggregate import AggregatorSpec, resolve_aggregator
 from repro.sweep.engine import CacheLike, run_sweep
 from repro.tuning.config import PrecisionConfig
 from repro.tuning.greedy import TuningResult, greedy_select
-from repro.util.deprecation import warn_legacy
 
 
 def run_robust_tune(
@@ -53,8 +52,15 @@ def run_robust_tune(
     """The distribution-robust tuner proper — see
     :meth:`repro.session.Session.tune`.
 
-    Non-deprecated implementation shared by the session facade;
-    :func:`robust_tune` is the legacy wrapper around it.
+    :param samples: swept parameters — ``{param: length-N array}``; see
+        :mod:`repro.sweep.samplers` for grid/random/explicit builders.
+    :param threshold: maximum acceptable accumulated estimated error,
+        enforced on the *aggregated* (default: worst-case) contributions.
+    :param aggregate: how contributions are reduced across samples —
+        ``"max"`` (default, conservative), ``"mean"``, ``"p95"``, a
+        ``("percentile", q)`` tuple, or a callable.
+    :param cache: optional sweep result cache; repeated tuning runs
+        over the same distribution become cache hits.
     """
     model = model or AdaptModel(demote_to)
     batch = run_sweep(
@@ -84,49 +90,3 @@ def run_robust_tune(
         sweep=batch,
     )
 
-
-def robust_tune(
-    k: Union[Kernel, N.Function],
-    samples: Mapping[str, Sequence[float]],
-    threshold: float,
-    fixed: Optional[Mapping[str, object]] = None,
-    model: Optional[ErrorModel] = None,
-    candidates: Optional[Sequence[str]] = None,
-    demote_to: DType = DType.F32,
-    aggregate: AggregatorSpec = "max",
-    cache: CacheLike = None,
-) -> TuningResult:
-    """Find a mixed-precision configuration robust across an input sweep.
-
-    .. deprecated:: 1.1
-        Legacy wrapper, removed in 2.0 — use
-        :meth:`repro.session.Session.tune` (``session.tune(k,
-        threshold, samples=samples)``), which shares the session's
-        sweep cache and estimator memo.
-
-    :param k: the kernel to tune.
-    :param samples: swept parameters — ``{param: length-N array}``; see
-        :mod:`repro.sweep.samplers` for grid/random/explicit builders.
-    :param threshold: maximum acceptable accumulated estimated error,
-        enforced on the *aggregated* (default: worst-case) contributions.
-    :param fixed: lane-uniform values for unswept parameters.
-    :param model: error model (default: ADAPT demotion model, Eq. 2).
-    :param candidates: restrict demotion candidates.
-    :param demote_to: target precision (binary32 by default).
-    :param aggregate: how contributions are reduced across samples —
-        ``"max"`` (default, conservative), ``"mean"``, ``"p95"``, a
-        ``("percentile", q)`` tuple, or a callable.
-    :param cache: optional sweep result cache (see
-        :class:`repro.sweep.SweepCache`); repeated tuning runs over the
-        same distribution become cache hits.
-    """
-    warn_legacy(
-        "repro.robust_tune()", "Session.tune(k, threshold, samples=...)"
-    )
-    from repro.session import Session
-
-    return Session(cache=cache).tune(
-        k, threshold, samples=samples, fixed=fixed, robust=True,
-        model=model, candidates=candidates, demote_to=demote_to,
-        aggregate=aggregate,
-    )

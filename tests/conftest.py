@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
 
 import numpy as np
 import pytest
+
+#: result keys that carry timing or session identity, not content
+VOLATILE = ("wall_time", "provenance")
 
 
 def finite_diff(f, args, i, eps=1e-6):
@@ -28,3 +32,28 @@ def finite_diff_array(f, args, i, j, eps=1e-6):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def result_content(payload):
+    """A result payload without its :data:`VOLATILE` keys."""
+    return {k: v for k, v in payload.items() if k not in VOLATILE}
+
+
+@pytest.fixture
+def serve_payload():
+    """``serve_payload(raw)``: the result content a job server computes
+    for the spec ``raw``, on an in-process registry."""
+    from repro.serve import JobRegistry, JobSpec
+    from repro.session import Session
+
+    def run(raw):
+        reg = JobRegistry(Session(), workers=1)
+        try:
+            job, _ = reg.submit(JobSpec.from_dict(raw))
+            job.future.result(timeout=120)
+            assert job.state == "completed", job.error
+            return result_content(json.loads(json.dumps(job.result)))
+        finally:
+            reg.close()
+
+    return run

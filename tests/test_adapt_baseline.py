@@ -133,7 +133,7 @@ class TestAnalysis:
     def test_error_totals_same_magnitude_as_chef(self):
         """The paper: CHEF-FP 'produces mixed precision analysis
         results that agree with ADAPT's analysis'."""
-        chef = repro.estimate_error(
+        chef = repro.Session().estimate(
             ab_loop, model=repro.AdaptModel()
         ).execute(500, math.pi / 500)
         adapt = AdaptAnalysis(ab_loop).execute(500, math.pi / 500)

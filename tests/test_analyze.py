@@ -26,6 +26,7 @@ from repro.opt import cse_function, dce_function, fold_function, optimize
 from repro.search.orchestrator import app_scenarios
 from repro.session import Session, SessionConfig
 from repro.util.errors import ConfigError, IRConfigError, ValidationError
+from tests.conftest import result_content
 
 APPS = ("simpsons", "arclength", "kmeans", "blackscholes", "hpccg")
 
@@ -360,19 +361,24 @@ class TestPruning:
 class TestAnalyzeCLI:
     SCHEMA = {
         "amp", "demote_to", "diagnostics", "digest", "err_estimate",
-        "ir_fingerprint", "kernel", "pinned", "provenance", "ranges",
-        "safe", "threshold", "wall_time", "widened", "writes",
+        "ir_fingerprint", "kernel", "kind", "pinned", "provenance",
+        "ranges", "safe", "threshold", "wall_time", "widened", "writes",
     }
 
     @pytest.mark.parametrize("app", APPS)
-    def test_json_schema_stable(self, app, capsys):
+    def test_json_schema_stable(self, app, capsys, serve_payload):
         assert cli(["analyze", app, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload.keys()) == self.SCHEMA
+        assert payload["kind"] == "analyze"
         # the report names the IR function, not the scenario
         assert payload["kernel"] == _scenario(app).kernel.ir.name
         for iv in payload["ranges"].values():
             assert set(iv) == {"lo", "hi"}
+        # the CLI --json output is the serve payload of the same spec
+        assert result_content(payload) == serve_payload(
+            {"kind": "analyze", "kernel": app}
+        )
 
     def test_text_render(self, capsys):
         assert cli(["analyze", "simpsons"]) == 0

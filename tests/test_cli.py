@@ -1,13 +1,19 @@
 """Unified ``python -m repro`` CLI tests: subcommand smoke runs over
 the app scenarios, ``--help`` snapshots, exit codes on bad arguments,
-JSON output, and the run-store management subcommand."""
+JSON output (the serve payload of the same spec), CLI/serve parity on
+invalid requests, and the run-store management subcommand."""
 
 import json
 
 import pytest
 
+from repro.cli import build_parser
 from repro.cli import main as cli
 from repro.search.store import RunStore
+from repro.serve import JobRegistry, JobSpec
+from repro.session import Session
+from repro.util.errors import ConfigError
+from tests.conftest import result_content
 
 #: fast search arguments shared by the store-backed tests
 _FAST = ["--budget", "3", "--strategies", "greedy"]
@@ -20,6 +26,65 @@ def _run_search_into(store, extra=()):
     )
     assert code == 0
     return RunStore(store)
+
+
+#: invalid requests as CLI arguments and as the same serve spec
+_INVALID = {
+    "threshold-negative": (
+        ["tune", "--kernel", "kmeans", "--threshold", "-1"],
+        {"kind": "tune", "kernel": "kmeans", "threshold": -1},
+    ),
+    "threshold-zero": (
+        ["analyze", "kmeans", "--threshold", "0"],
+        {"kind": "analyze", "kernel": "kmeans", "threshold": 0},
+    ),
+    "budget-zero": (
+        ["search", "--kernel", "kmeans", "--budget", "0"],
+        {"kind": "search", "kernel": "kmeans", "budget": 0},
+    ),
+    "point-out-of-range": (
+        ["estimate", "--kernel", "kmeans", "--point", "99"],
+        {"kind": "estimate", "kernel": "kmeans", "point": 99},
+    ),
+    "aggregate-unknown": (
+        ["sweep", "--kernel", "blackscholes", "--aggregate", "p999"],
+        {"kind": "sweep", "kernel": "blackscholes", "aggregate": "p999"},
+    ),
+    "robust-tune-without-sweep": (
+        ["tune", "--kernel", "kmeans", "--robust"],
+        {"kind": "tune", "kernel": "kmeans", "robust": True},
+    ),
+    "sweep-without-sweep": (
+        ["sweep", "--kernel", "kmeans"],
+        {"kind": "sweep", "kernel": "kmeans"},
+    ),
+    "unknown-kernel": (
+        ["estimate", "--kernel", "nope"],
+        {"kind": "estimate", "kernel": "nope"},
+    ),
+}
+
+
+class TestServeParity:
+    """The CLI and the job server reject an invalid request alike:
+    same error class, same message, CLI exit 2."""
+
+    @pytest.mark.parametrize("case", sorted(_INVALID))
+    def test_invalid_request_rejected_alike(self, case, capsys):
+        argv, raw = _INVALID[case]
+        reg = JobRegistry(Session(), workers=1)
+        try:
+            with pytest.raises(ConfigError) as served:
+                reg.submit(JobSpec.from_dict(raw))
+        finally:
+            reg.close()
+        args = build_parser().parse_args(argv)
+        with pytest.raises(ConfigError) as refused:
+            args.func(args)
+        assert type(refused.value) is type(served.value)
+        assert str(refused.value) == str(served.value)
+        assert cli(argv) == 2
+        assert capsys.readouterr().err == f"error: {served.value}\n"
 
 
 class TestHelp:
@@ -141,7 +206,7 @@ class TestBadArgs:
 
 
 class TestEstimate:
-    def test_smoke_and_json(self, tmp_path, capsys):
+    def test_smoke_and_json(self, tmp_path, capsys, serve_payload):
         out = tmp_path / "est.json"
         assert cli(
             ["estimate", "--kernel", "kmeans", "--json", str(out)]
@@ -149,9 +214,13 @@ class TestEstimate:
         text = capsys.readouterr().out
         assert "total error" in text
         payload = json.loads(out.read_text())
-        assert payload["kernel"] == "kmeans_cost"
+        assert payload["kind"] == "estimate"
+        assert payload["kernel"] == "kmeans"
         assert payload["total_error"] > 0
         assert payload["per_variable"]
+        assert result_content(payload) == serve_payload(
+            {"kind": "estimate", "kernel": "kmeans"}
+        )
 
     def test_adapt_model(self, capsys):
         assert cli(
@@ -170,6 +239,8 @@ class TestSweep:
         text = capsys.readouterr().out
         assert "total error [p95]" in text
         payload = json.loads(out.read_text())
+        assert payload["kind"] == "sweep"
+        assert payload["kernel"] == "blackscholes"
         assert payload["n"] > 0
         assert payload["aggregate"] == "p95"
 
@@ -183,7 +254,7 @@ class TestTune:
         assert "configuration" in out
         assert "estimated error" in out
 
-    def test_robust_mode_and_json(self, tmp_path, capsys):
+    def test_robust_mode_and_json(self, tmp_path, capsys, serve_payload):
         out = tmp_path / "tune.json"
         assert cli(
             ["tune", "--kernel", "blackscholes", "--robust",
@@ -191,8 +262,12 @@ class TestTune:
         ) == 0
         assert "robust [max]" in capsys.readouterr().out
         payload = json.loads(out.read_text())
-        assert payload["kernel"] == "bs_price"
+        assert payload["kind"] == "tune"
+        assert payload["kernel"] == "blackscholes"
         assert isinstance(payload["demoted"], list)
+        assert result_content(payload) == serve_payload(
+            {"kind": "tune", "kernel": "blackscholes", "robust": True}
+        )
 
 
 class TestSearch:
@@ -215,6 +290,8 @@ class TestSearch:
         ) == 0
         capsys.readouterr()
         payload = json.loads(out.read_text())
+        assert payload["kind"] == "search"
+        # the search result names the IR function, like the serve payload
         assert payload["kernel"] == "kmeans_cost"
         assert payload["front"]
 
@@ -244,18 +321,6 @@ class TestPlan:
             ["plan", "--plan", str(plan_path), "--store", str(store)]
         ) == 0
         assert "restored" in capsys.readouterr().out
-
-    def test_legacy_search_plan_flags_still_work(self, tmp_path, capsys):
-        plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps(
-            {"entries": [{"scenario": "kmeans", "budget": 3,
-                          "strategies": ["greedy"]}]}
-        ))
-        store = tmp_path / "runs"
-        assert cli(
-            ["search", "--plan", str(plan_path), "--store", str(store)]
-        ) == 0
-        assert "kmeans" in capsys.readouterr().out
 
 
 class TestRuns:

@@ -20,7 +20,6 @@ from repro.apps import kmeans as km
 from repro.codegen.compile import (
     ConfigLoweringError,
     clear_config_kernel_cache,
-    config_kernel_cache_stats,
     config_lane_kernel,
     lower_config_pool,
     lower_config_pool_reference,
@@ -32,7 +31,6 @@ from repro.codegen.npgen import (
 from repro.core.api import (
     cached_error_estimator,
     clear_estimator_memo,
-    estimate_error,
 )
 from repro.core.models import AdaptModel, TaylorModel
 from repro.frontend.registry import kernel as register_kernel
@@ -40,6 +38,7 @@ from repro.ir.fingerprint import ir_fingerprint
 from repro.ir.types import DType
 from repro.search.evaluate import CandidateEvaluator, config_key
 from repro.search.parallel import ParallelEvaluator
+from repro.session import Session
 from repro.sweep.samplers import random_sweep
 from repro.tuning.config import (
     PrecisionConfig,
@@ -252,7 +251,7 @@ class TestKernelCache:
         k1 = config_lane_kernel(fn, batched=batched, counting=True)
         k2 = config_lane_kernel(fn, batched=batched, counting=True)
         assert k1 is k2
-        stats = config_kernel_cache_stats()
+        stats = Session().stats()["config_kernel_cache"]
         assert stats["entries"] == 1
         assert stats["hits"] == 1 and stats["misses"] == 1
 
@@ -269,7 +268,7 @@ class TestKernelCache:
         demoted.name = fn.name  # same name, different content
         k3 = config_lane_kernel(demoted, batched=batched, counting=True)
         assert k3 is not k1
-        assert config_kernel_cache_stats()["entries"] == 2
+        assert Session().stats()["config_kernel_cache"]["entries"] == 2
 
     def test_config_change_cannot_reuse_stale_lanes(self):
         # configurations are lowering-time lane parameters, never part
@@ -419,7 +418,7 @@ class TestFallbacks:
 
     def test_sweep_loop_backend_still_used_for_arrays(self):
         # the input-sweep engine's scalar-loop fallback (array params)
-        est = estimate_error(km.euclid_dist, model=AdaptModel())
+        est = Session().estimate(km.euclid_dist, model=AdaptModel())
         size, _, nf, attrs, cl = km.make_workload(8)
         batch = est.execute_batch(nf, [0, 1, 2], 0, attrs, cl)
         assert batch.backend == "loop"
@@ -449,7 +448,7 @@ class TestExecuteConfigBatch:
         pool = [PrecisionConfig()] + make_pool(
             bs.SEARCH_CANDIDATES, 8, seed=7
         )
-        est = estimate_error(bs.bs_price, model=model_cls())
+        est = Session().estimate(bs.bs_price, model=model_cls())
         rep = est.execute_config_batch(pool, *args)
         assert rep.backend == "lanes"
         assert rep.total_error.shape == (len(pool), 12)
@@ -473,7 +472,7 @@ class TestExecuteConfigBatch:
                 assert np.array_equal(np.asarray(a), row.gradients[g])
 
     def test_array_kernel_falls_back_to_loop_backend(self):
-        est = estimate_error(km.euclid_dist, model=AdaptModel())
+        est = Session().estimate(km.euclid_dist, model=AdaptModel())
         size, _, nf, attrs, cl = km.make_workload(6)
         pool = [
             PrecisionConfig.demote(["sum"]),
@@ -535,10 +534,11 @@ class TestSearchIntegration:
         assert res.front.is_consistent()
 
     def test_cli_prints_cache_and_memo_stats(self, capsys, tmp_path):
-        from repro.search.__main__ import main
+        from repro.cli import main
 
         rc = main(
             [
+                "search",
                 "--kernel",
                 "kmeans",
                 "--budget",

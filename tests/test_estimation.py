@@ -51,7 +51,7 @@ class TestListing1:
     """The paper's minimal demonstrator (Listing 1)."""
 
     def test_estimate_error_runs(self):
-        df = repro.estimate_error(ee_listing1)
+        df = repro.Session().estimate(ee_listing1)
         rep = df.execute(1.95e-5, 1.37e-7)
         assert rep.value == float(
             np.float32(np.float32(1.95e-5) + np.float32(1.37e-7))
@@ -62,7 +62,7 @@ class TestListing1:
         assert rep.grad("y") == 1.0
 
     def test_taylor_total_is_sum_of_deltas_plus_inputs(self):
-        df = repro.estimate_error(ee_chain)
+        df = repro.Session().estimate(ee_chain)
         rep = df.execute(1.7)
         assignment_sum = sum(rep.per_variable.values())
         assert rep.total_error == pytest.approx(assignment_sum, rel=1e-12)
@@ -72,10 +72,10 @@ class TestTaylorModel:
     @given(xs)
     @settings(max_examples=30, deadline=None)
     def test_scales_with_machine_eps(self, x):
-        f64_est = repro.estimate_error(
+        f64_est = repro.Session().estimate(
             ee_chain, model=repro.TaylorModel()
         ).execute(x)
-        f32_est = repro.estimate_error(
+        f32_est = repro.Session().estimate(
             ee_chain, model=repro.TaylorModel(precision=repro.DType.F32)
         ).execute(x)
         # same structure at eps_f32/eps_f64 ratio = 2^29
@@ -84,7 +84,7 @@ class TestTaylorModel:
         )
 
     def test_zero_for_zero_values(self):
-        rep = repro.estimate_error(ee_accum).execute(5, 0.0)
+        rep = repro.Session().estimate(ee_accum).execute(5, 0.0)
         assert rep.total_error == 0.0
 
 
@@ -94,7 +94,7 @@ class TestAdaptModel:
     def test_estimate_bounds_actual_demotion(self, x):
         """The Eq. 2 estimate must upper-bound (to first order) the
         error of actually demoting everything to f32."""
-        est = repro.estimate_error(
+        est = repro.Session().estimate(
             ee_chain, model=repro.AdaptModel()
         ).execute(x)
         mixed = apply_precision(
@@ -112,13 +112,13 @@ class TestAdaptModel:
 
     def test_zero_for_f32_representable(self):
         # 0.5 and 0.25 are exact in binary32 -> all deltas are zero
-        rep = repro.estimate_error(
+        rep = repro.Session().estimate(
             ee_accum, model=repro.AdaptModel()
         ).execute(2, 0.5)
         assert rep.total_error == 0.0
 
     def test_per_variable_registers(self):
-        rep = repro.estimate_error(
+        rep = repro.Session().estimate(
             ee_chain, model=repro.AdaptModel()
         ).execute(math.pi)
         assert set(rep.per_variable) >= {"a", "c", "d", "x"}
@@ -135,7 +135,7 @@ class TestApproxModel:
         actual error by a factor of f'(x) = 1/login here; near
         login ≈ 1 the two coincide."""
         model = repro.ApproxModel({"login": "log"})
-        est = repro.estimate_error(ee_approx_target, model=model)
+        est = repro.Session().estimate(ee_approx_target, model=model)
         exact = compile_primal(ee_approx_target.ir)
         approx = compile_primal(ee_approx_target.ir, approx={"log"})
         # near x=0 (login≈1): estimate ≈ actual
@@ -153,7 +153,7 @@ class TestApproxModel:
 
     def test_unmapped_variables_skipped(self):
         model = repro.ApproxModel({"nonexistent": "exp"})
-        rep = repro.estimate_error(ee_approx_target, model=model).execute(2.0)
+        rep = repro.Session().estimate(ee_approx_target, model=model).execute(2.0)
         assert rep.total_error == 0.0
 
     def test_rejects_unsupported_intrinsic(self):
@@ -176,7 +176,7 @@ class TestExternalModel:
             return abs(dx * x) * 1e-9
 
         model = repro.ExternalModel(user_fn)
-        rep = repro.estimate_error(ee_chain, model=model).execute(2.0)
+        rep = repro.Session().estimate(ee_chain, model=model).execute(2.0)
         assert rep.total_error > 0
         assert "a" in seen and "c" in seen and "d" in seen
 
@@ -187,10 +187,10 @@ class TestExternalModel:
         def get_error_val(dx, x, name):
             return abs(dx * (x - round_f32(x)))
 
-        ext = repro.estimate_error(
+        ext = repro.Session().estimate(
             ee_chain, model=repro.ExternalModel(get_error_val)
         ).execute(math.e)
-        builtin = repro.estimate_error(
+        builtin = repro.Session().estimate(
             ee_chain, model=repro.AdaptModel()
         ).execute(math.e)
         assert ext.total_error == pytest.approx(
@@ -200,7 +200,7 @@ class TestExternalModel:
 
 class TestSensitivityTracking:
     def test_traces_collected_in_backward_order(self):
-        est = repro.estimate_error(ee_accum, track=["s"])
+        est = repro.Session().estimate(ee_accum, track=["s"])
         rep = est.execute(4, 1.0)
         # one trace sample per assignment to s: init + 4 loop iterations
         assert len(rep.traces["s"]) == 5
@@ -210,18 +210,18 @@ class TestSensitivityTracking:
         assert fwd[-1] >= fwd[1]
 
     def test_untracked_vars_have_no_traces(self):
-        est = repro.estimate_error(ee_accum)
+        est = repro.Session().estimate(ee_accum)
         rep = est.execute(3, 1.0)
         assert rep.traces == {}
 
 
 class TestReportAPI:
     def test_dominant_variables_sorted(self):
-        rep = repro.estimate_error(ee_chain).execute(2.5)
+        rep = repro.Session().estimate(ee_chain).execute(2.5)
         dom = rep.dominant_variables(2)
         vals = [rep.per_variable[v] for v in dom]
         assert vals == sorted(vals, reverse=True)
 
     def test_str_contains_total(self):
-        rep = repro.estimate_error(ee_chain).execute(2.5)
+        rep = repro.Session().estimate(ee_chain).execute(2.5)
         assert "total_error" in str(rep)

@@ -391,11 +391,11 @@ class TestStoreDegradation:
 
     def test_corrupt_checkpoint_quarantined_not_trusted(self, tmp_path):
         store = self._store(tmp_path)
-        from repro.search import search
+        from repro.search.api import run_search
         from repro.apps import kmeans
 
         scen = kmeans.search_scenario(size=12, n_workloads=2)
-        res = search(
+        res = run_search(
             scen.kernel,
             points=scen.points,
             threshold=scen.threshold,
@@ -429,13 +429,13 @@ class TestStoreDegradation:
                 )
             )
         )
-        from repro.search import search
+        from repro.search.api import run_search
         from repro.apps import kmeans
 
         store = self._store(tmp_path)
         retries_before = _counter("repro_retries_total")
         scen = kmeans.search_scenario(size=12, n_workloads=2)
-        res = search(
+        res = run_search(
             scen.kernel,
             points=scen.points,
             threshold=scen.threshold,

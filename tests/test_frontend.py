@@ -141,7 +141,7 @@ class TestRejections:
             a, c = x, x
             return a
 
-        self._reject(bad, "")
+        self._reject(bad, "unsupported expression: Tuple")
 
     def test_unknown_function(self):
         def bad(x: float) -> float:

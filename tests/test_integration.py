@@ -10,7 +10,8 @@ import pytest
 import repro
 from repro.adapt import AdaptAnalysis
 from repro.apps import arclength, blackscholes, hpccg, kmeans, simpsons
-from repro.tuning import greedy_tune, validate_config
+from repro.tuning import validate_config
+from repro.tuning.greedy import run_greedy_tune
 
 
 class TestPaperWorkflow:
@@ -22,7 +23,7 @@ class TestPaperWorkflow:
     )
     def test_tune_validate_roundtrip(self, app, size):
         args = app.make_workload(size)
-        tuning = greedy_tune(
+        tuning = run_greedy_tune(
             app.INSTRUMENTED, args, app.DEFAULT_THRESHOLD
         )
         assert tuning.estimated_error <= app.DEFAULT_THRESHOLD
@@ -47,7 +48,7 @@ class TestPaperWorkflow:
 
     def test_blackscholes_workflow(self):
         model = repro.ApproxModel(blackscholes.APPROX_VARIABLE_MAP)
-        est = repro.estimate_error(blackscholes.bs_price, model=model)
+        est = repro.Session().estimate(blackscholes.bs_price, model=model)
         wl = blackscholes.make_workload(30)
         for i in range(5):
             rep = est.execute(*blackscholes.point_args(wl, i))
@@ -65,7 +66,7 @@ class TestCrossToolAgreement:
     )
     def test_gradients_exact_totals_close(self, app, size):
         args = app.make_workload(size)
-        chef = repro.estimate_error(
+        chef = repro.Session().estimate(
             app.INSTRUMENTED, model=repro.AdaptModel()
         ).execute(*args)
         adapt = AdaptAnalysis(app.INSTRUMENTED).execute(
@@ -83,7 +84,7 @@ class TestCrossToolAgreement:
 
     def test_hpccg_agreement(self):
         args = hpccg.make_workload(4, max_iter=15)
-        chef = repro.estimate_error(
+        chef = repro.Session().estimate(
             hpccg.INSTRUMENTED, model=repro.AdaptModel()
         ).execute(*args)
         adapt = AdaptAnalysis(hpccg.INSTRUMENTED).execute(

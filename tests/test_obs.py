@@ -19,7 +19,7 @@ from repro.obs.profile import (
     load_trace,
     summarize_records,
 )
-from repro.search import search
+from repro.search.api import run_search
 
 
 @pytest.fixture(autouse=True)
@@ -410,7 +410,7 @@ def _obs_points(n=32, seeds=(5, 6)):
 
 
 def _run_obs_search():
-    return search(
+    return run_search(
         obs_kernel,
         _obs_points(),
         threshold=1e-6,

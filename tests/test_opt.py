@@ -196,8 +196,8 @@ class TestSemanticsPreservation:
             w = v * v + sin(v)
             return w / 2.0
 
-        e0 = repro.estimate_error(opt_ee, opt_level=0).execute(1.7)
-        e2 = repro.estimate_error(opt_ee, opt_level=2).execute(1.7)
+        e0 = repro.Session().estimate(opt_ee, opt_level=0).execute(1.7)
+        e2 = repro.Session().estimate(opt_ee, opt_level=2).execute(1.7)
         assert e0.total_error == pytest.approx(e2.total_error, rel=1e-12)
         assert e0.per_variable == pytest.approx(e2.per_variable)
 
@@ -207,8 +207,8 @@ class TestSemanticsPreservation:
             w = sin(v) * cos(v) + sin(v) / (1.0 + cos(v))
             return w
 
-        e0 = repro.estimate_error(opt_sz, opt_level=0)
-        e2 = repro.estimate_error(opt_sz, opt_level=2)
+        e0 = repro.Session().estimate(opt_sz, opt_level=0)
+        e2 = repro.Session().estimate(opt_sz, opt_level=2)
         calls0 = e0.source.count("_i_sin(") + e0.source.count("_i_cos(")
         calls2 = e2.source.count("_i_sin(") + e2.source.count("_i_cos(")
         assert calls2 < calls0

@@ -116,7 +116,7 @@ class TestProgramProperties:
     @given(straight_line_program(), vals, vals)
     @settings(max_examples=30, deadline=None)
     def test_error_estimate_nonnegative_and_finite(self, fn, x, y):
-        rep = repro.estimate_error(fn).execute(x, y)
+        rep = repro.Session().estimate(fn).execute(x, y)
         assert rep.total_error >= 0.0
         assert math.isfinite(rep.total_error)
         for v in rep.per_variable.values():
@@ -125,10 +125,10 @@ class TestProgramProperties:
     @given(straight_line_program(), vals, vals)
     @settings(max_examples=20, deadline=None)
     def test_taylor_error_scales_with_eps(self, fn, x, y):
-        e64 = repro.estimate_error(
+        e64 = repro.Session().estimate(
             fn, model=repro.TaylorModel(precision=repro.DType.F64)
         ).execute(x, y)
-        e16 = repro.estimate_error(
+        e16 = repro.Session().estimate(
             fn, model=repro.TaylorModel(precision=repro.DType.F16)
         ).execute(x, y)
         scale = 2.0 ** (52 - 10)

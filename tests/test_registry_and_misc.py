@@ -127,10 +127,10 @@ class TestCenaModel:
 
     def test_signed_total_tighter_than_abs_bound(self):
         x = math.pi
-        cena = repro.estimate_error(
+        cena = repro.Session().estimate(
             self.cena_fn, model=repro.CenaModel()
         ).execute(x)
-        adapt = repro.estimate_error(
+        adapt = repro.Session().estimate(
             self.cena_fn, model=repro.AdaptModel()
         ).execute(x)
         assert abs(cena.total_error) <= adapt.total_error + 1e-300
@@ -146,10 +146,10 @@ class TestCenaModel:
         points = (math.pi, 1.7, 0.123456789, 9.87654321, 0.777, 42.42)
         for x in points:
             actual = self.cena_fn(x) - low(x)
-            cena = repro.estimate_error(
+            cena = repro.Session().estimate(
                 self.cena_fn, model=repro.CenaModel()
             ).execute(x)
-            adapt = repro.estimate_error(
+            adapt = repro.Session().estimate(
                 self.cena_fn, model=repro.AdaptModel()
             ).execute(x)
             if math.copysign(1.0, cena.total_error) == math.copysign(
@@ -176,7 +176,7 @@ class TestCenaModel:
             d = a - c
             return d
 
-        rep = repro.estimate_error(
+        rep = repro.Session().estimate(
             cena_cancel, model=repro.CenaModel()
         ).execute(math.pi)
         assert rep.total_error == pytest.approx(0.0, abs=1e-300)

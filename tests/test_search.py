@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.cli import main as cli
 from repro.frontend import kernel
 from repro.interp.cost_model import (
     config_cycle_delta,
@@ -27,9 +28,8 @@ from repro.search import (
     dominates,
     get_strategy,
     register_strategy,
-    search,
 )
-from repro.search.__main__ import main as search_cli
+from repro.search.api import run_search
 from repro.tuning import PrecisionConfig
 
 
@@ -194,7 +194,7 @@ class TestCandidateEvaluator:
 
 class TestSearch:
     def test_exhaustive_covers_space_and_is_consistent(self):
-        res = search(
+        res = run_search(
             ps_kernel,
             _points(),
             threshold=1e-7,
@@ -210,7 +210,7 @@ class TestSearch:
         assert "h:f32,s:f32,t:f32" in keys
 
     def test_budget_is_a_hard_cap(self):
-        res = search(
+        res = run_search(
             ps_kernel,
             _points(),
             threshold=1e-7,
@@ -221,7 +221,7 @@ class TestSearch:
         assert res.n_evaluated == 5
 
     def test_front_contains_threshold_feasible_point(self):
-        res = search(
+        res = run_search(
             ps_kernel,
             _points(),
             threshold=1e-6,
@@ -235,7 +235,7 @@ class TestSearch:
         assert best.error <= 1e-6
 
     def test_anneal_small_space_falls_back_to_exhaustive(self):
-        res = search(
+        res = run_search(
             ps_kernel,
             _points(),
             threshold=1e-7,
@@ -248,7 +248,7 @@ class TestSearch:
         assert {e.strategy for e in res.evaluations} == {"exhaustive"}
 
     def test_candidate_autoderivation(self):
-        res = search(
+        res = run_search(
             ps_kernel,
             _points(),
             threshold=1e-7,
@@ -259,7 +259,7 @@ class TestSearch:
         assert not any(c.startswith("_") for c in res.candidates)
 
     def test_contributions_ranked_and_positive_total(self):
-        res = search(
+        res = run_search(
             ps_kernel,
             _points(),
             threshold=1e-7,
@@ -271,7 +271,7 @@ class TestSearch:
         assert all(v >= 0.0 for v in res.contributions.values())
 
     def test_to_dict_roundtrips_through_json(self):
-        res = search(
+        res = run_search(
             ps_kernel,
             _points(),
             threshold=1e-7,
@@ -330,8 +330,8 @@ class TestParallel:
             budget=14,
             seed=7,
         )
-        serial = search(ps_kernel, **kwargs)
-        parallel = search(ps_kernel, workers=2, **kwargs)
+        serial = run_search(ps_kernel, **kwargs)
+        parallel = run_search(ps_kernel, workers=2, **kwargs)
         assert parallel.parallel
         assert len(serial.evaluations) == len(parallel.evaluations)
         for a, b in zip(serial.evaluations, parallel.evaluations):
@@ -450,7 +450,7 @@ class TestStrategyRegistry:
         with pytest.raises(KeyError, match="unknown search strategy"):
             get_strategy("nope")
         with pytest.raises(KeyError, match="unknown search strategy"):
-            search(
+            run_search(
                 ps_kernel, _points(), 1e-6, strategies=("nope",),
                 candidates=("t",),
             )
@@ -465,7 +465,7 @@ class TestStrategyRegistry:
                 problem.evaluate(frozenset(problem.candidates), self.name)
 
         try:
-            res = search(
+            res = run_search(
                 ps_kernel,
                 _points(),
                 threshold=1e-6,
@@ -510,18 +510,18 @@ class TestCostDeltas:
 
 class TestCLI:
     def test_list(self, capsys):
-        assert search_cli(["--list"]) == 0
+        assert cli(["search", "--list"]) == 0
         out = capsys.readouterr().out
         assert "blackscholes" in out and "kmeans" in out
 
     def test_unknown_kernel(self, capsys):
-        assert search_cli(["--kernel", "nope"]) == 2
+        assert cli(["search", "--kernel", "nope"]) == 2
 
     def test_end_to_end_with_json(self, tmp_path, capsys):
         out = tmp_path / "result.json"
-        code = search_cli(
+        code = cli(
             [
-                "--kernel", "kmeans",
+                "search", "--kernel", "kmeans",
                 "--budget", "8",
                 "--strategies", "greedy,anneal",
                 "--json", str(out),
@@ -537,14 +537,12 @@ class TestCLI:
 
 class TestExports:
     def test_top_level_surface(self):
-        assert repro.search.search is search
         assert repro.ParetoFront is ParetoFront
         assert repro.STRATEGIES is STRATEGIES
 
     def test_tuning_reexports(self):
         import repro.tuning as tuning
 
-        assert tuning.search is search
         assert tuning.ParetoFront is ParetoFront
         assert tuning.STRATEGIES is STRATEGIES
         with pytest.raises(AttributeError):

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.cli import main as cli
 from repro.frontend import kernel
 from repro.interp.cost_model import DEFAULT_COST_MODEL
 from repro.ir.types import DType
@@ -20,15 +21,15 @@ from repro.search import (
     PlanEntry,
     RunStore,
     SearchOrchestrator,
-    search,
 )
-from repro.search.__main__ import main as search_cli
+from repro.search.api import run_search
 from repro.search.store import (
     candidate_of,
     record_of,
     run_id_of,
     run_key_components,
 )
+from repro.util.errors import ConfigError
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -83,14 +84,14 @@ def _front(result):
 @pytest.fixture(scope="module")
 def reference():
     """One uninterrupted, store-less reference run."""
-    return search(rs_kernel, points=_points(), **_KWARGS)
+    return run_search(rs_kernel, points=_points(), **_KWARGS)
 
 
 @pytest.fixture(scope="module")
 def stored(tmp_path_factory, reference):
     """The same run executed against a persistent store."""
     root = tmp_path_factory.mktemp("runstore")
-    result = search(rs_kernel, points=_points(), store=root, **_KWARGS)
+    result = run_search(rs_kernel, points=_points(), store=root, **_KWARGS)
     assert _trace(result) == _trace(reference)
     return RunStore(root), result
 
@@ -203,7 +204,7 @@ class TestResume:
         self, stored, reference, tmp_path, k
     ):
         snap, run_id = self._truncated_store(stored, tmp_path, k)
-        resumed = search(
+        resumed = run_search(
             rs_kernel, points=_points(), store=snap, resume=True,
             **_KWARGS,
         )
@@ -222,7 +223,7 @@ class TestResume:
         self, stored, reference, tmp_path
     ):
         snap, _ = self._truncated_store(stored, tmp_path, 5)
-        resumed = search(
+        resumed = run_search(
             rs_kernel, points=_points(), store=snap, resume=True,
             workers=2, **_KWARGS,
         )
@@ -233,7 +234,7 @@ class TestResume:
 
     def test_warm_resume_recomputes_nothing(self, stored, reference):
         store, result = stored
-        warm = search(
+        warm = run_search(
             rs_kernel, points=_points(), store=store, resume=True,
             **_KWARGS,
         )
@@ -248,7 +249,7 @@ class TestResume:
 
     def test_resume_requires_store(self):
         with pytest.raises(ValueError, match="requires store="):
-            search(
+            run_search(
                 rs_kernel, points=_points(), resume=True, **_KWARGS
             )
 
@@ -257,7 +258,7 @@ class TestResume:
     ):
         snap, run_id = self._truncated_store(stored, tmp_path, 5)
         # resume=False: the stale partial run is truncated, not reused
-        fresh = search(
+        fresh = run_search(
             rs_kernel, points=_points(), store=snap, **_KWARGS
         )
         assert not fresh.resumed and fresh.n_restored == 0
@@ -268,7 +269,7 @@ class TestResume:
     ):
         snap, run_id = self._truncated_store(stored, tmp_path, 5)
         (snap.run_dir(run_id) / "evals.pkl").write_bytes(b"\x80garbage")
-        resumed = search(
+        resumed = run_search(
             rs_kernel, points=_points(), store=snap, resume=True,
             **_KWARGS,
         )
@@ -285,7 +286,7 @@ class TestResume:
         manifest = dict(snap.load_manifest(run_id))
         manifest["library_version"] = "0.0.0-other"
         snap.save_manifest(run_id, manifest)
-        resumed = search(
+        resumed = run_search(
             rs_kernel, points=_points(), store=snap, resume=True,
             **_KWARGS,
         )
@@ -300,7 +301,7 @@ class TestResume:
         )
 
     def test_checkpoint_cadence(self, reference, tmp_path):
-        result = search(
+        result = run_search(
             rs_kernel, points=_points(), store=tmp_path,
             checkpoint_every=3, **_KWARGS,
         )
@@ -321,7 +322,7 @@ class TestSigkillResume:
         import sys
         import numpy as np
         from repro.frontend import kernel
-        from repro.search import search
+        from repro.search.api import run_search
 
         @kernel
         def rs_kernel(n: int, h: float, data: "f64[]") -> float:
@@ -336,7 +337,7 @@ class TestSigkillResume:
         for seed in (5, 6):
             rng = np.random.default_rng(seed)
             points.append((32, 1.0 / 3.0, rng.uniform(0.1, 1.0, 32)))
-        search(
+        run_search(
             rs_kernel, points=points, threshold=1e-6,
             candidates=("t", "s", "h", "data"),
             strategies=("greedy", "delta", "anneal"),
@@ -364,7 +365,7 @@ class TestSigkillResume:
         assert len(runs) == 1 and not runs[0]["completed"]
         n_stored = len(store.load_records(runs[0]["run_id"]))
         assert 0 < n_stored < reference.n_evaluated
-        resumed = search(
+        resumed = run_search(
             rs_kernel, points=_points(), store=store, resume=True,
             **_KWARGS,
         )
@@ -499,6 +500,21 @@ class TestOrchestrator:
         with pytest.raises(ValueError, match="no entries"):
             SearchOrchestrator.from_plan({"entries": []}, store=tmp_path)
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"budget": 0},
+            {"threshold": -1},
+            {"strategies": "greedy"},
+            {"seed": "x"},
+        ],
+    )
+    def test_bad_override_values_rejected_at_load(self, override):
+        # the same knob checks as serve specs, at load time — not a
+        # zero-budget search, or strategies ('g', 'r', 'e', ...)
+        with pytest.raises(ConfigError):
+            PlanEntry.from_dict({"scenario": "kmeans", **override})
+
     def test_over_all_apps_covers_every_scenario(self, tmp_path):
         orch = SearchOrchestrator.over_all_apps(tmp_path, budget=4)
         names = [e.scenario for e in orch.entries]
@@ -517,14 +533,14 @@ class TestStoreCLI:
     def test_store_and_resume_roundtrip(self, tmp_path, capsys):
         store = tmp_path / "runs"
         args = [
-            "--kernel", "kmeans", "--budget", "4",
+            "search", "--kernel", "kmeans", "--budget", "4",
             "--strategies", "greedy", "--store", str(store),
         ]
-        assert search_cli(args) == 0
+        assert cli(args) == 0
         out1 = capsys.readouterr().out
         assert "run store: run=" in out1
         assert "restored=0" in out1
-        assert search_cli(args + ["--resume"]) == 0
+        assert cli(args + ["--resume"]) == 0
         out2 = capsys.readouterr().out
         assert "computed=0" in out2
 
@@ -534,10 +550,10 @@ class TestStoreCLI:
             {"entries": [PLAN["entries"][1]], "defaults": {"seed": 0}}
         ))
         store = tmp_path / "runs"
-        args = ["--plan", str(plan_file), "--store", str(store)]
-        assert search_cli(args) == 0
+        args = ["plan", "--plan", str(plan_file), "--store", str(store)]
+        assert cli(args) == 0
         assert "kmeans" in capsys.readouterr().out
-        assert search_cli(args + ["--resume"]) == 0
+        assert cli(args + ["--resume"]) == 0
         assert "restored" in capsys.readouterr().out
 
     def test_plan_cli_strategies_flag_applies(self, tmp_path, capsys):
@@ -547,8 +563,8 @@ class TestStoreCLI:
         plan_file = tmp_path / "plan.json"
         plan_file.write_text(json.dumps({"entries": [entry]}))
         store = tmp_path / "runs"
-        assert search_cli([
-            "--plan", str(plan_file), "--store", str(store),
+        assert cli([
+            "plan", "--plan", str(plan_file), "--store", str(store),
             "--strategies", "greedy",
         ]) == 0
         capsys.readouterr()
@@ -557,12 +573,12 @@ class TestStoreCLI:
 
     def test_plan_requires_store(self, capsys):
         with pytest.raises(SystemExit):
-            search_cli(["--plan", "x.json"])
+            cli(["plan", "--plan", "x.json"])
         capsys.readouterr()
 
     def test_resume_requires_store(self, capsys):
         with pytest.raises(SystemExit):
-            search_cli(["--kernel", "kmeans", "--resume"])
+            cli(["search", "--kernel", "kmeans", "--resume"])
         capsys.readouterr()
 
 

@@ -101,6 +101,29 @@ class TestJobSpec:
         assert JobSpec.from_dict(spec.to_dict()) == spec
 
     @pytest.mark.parametrize(
+        "raw,job_id",
+        [
+            ({"kind": "search", "kernel": "kmeans"},
+             "job-590335ca7a1294fa"),
+            ({"kind": "estimate", "kernel": "blackscholes", "point": 1},
+             "job-a3a52afd9140b67d"),
+            ({"kind": "tune", "kernel": "simpsons", "threshold": 1e-6,
+              "robust": True, "aggregate": "p95"},
+             "job-0c9bce11919f8073"),
+            ({"kind": "analyze", "kernel": "hpccg", "threshold": 1e-5},
+             "job-7fe9d9b587dcaaa0"),
+            ({"kind": "search", "kernel": "blackscholes", "budget": 48,
+              "strategies": ["greedy", "delta"], "seed": 3, "shards": 2,
+              "fleet_workers": 2, "timeout_s": 60},
+             "job-d28b2fa172553113"),
+        ],
+    )
+    def test_golden_job_ids(self, raw, job_id):
+        # pinned from the 1.x job server: journals written before the
+        # operation specs moved still dedupe onto the same ids
+        assert JobSpec.from_dict(raw).job_id == job_id
+
+    @pytest.mark.parametrize(
         "raw",
         [
             {"kind": "zap", "kernel": "kmeans"},
@@ -110,6 +133,12 @@ class TestJobSpec:
             {"kind": "sweep", "kernel": "kmeans", "threshold": 1e-6},
             {"kind": "estimate", "kernel": "kmeans", "aggregate": "max"},
             {"kind": "search", "kernel": "kmeans", "robust": True},
+            {"kind": "search", "kernel": "kmeans", "point": 2},
+            {"kind": "tune", "kernel": "kmeans", "aggregate": "p95"},
+            {"kind": "tune", "kernel": "kmeans", "robust": True,
+             "point": 1},
+            {"kind": "search", "kernel": "kmeans", "seed": "x"},
+            {"kind": "tune", "kernel": "kmeans", "threshold": "tiny"},
             {"kind": "search", "kernel": "kmeans", "budget": 0},
             {"kind": "search", "kernel": "kmeans", "threshold": 0.0},
             {"kind": "search", "kernel": "kmeans", "strategies": "greedy"},
@@ -815,14 +844,13 @@ class TestSharedCacheThreadSafety:
         from repro.core.api import (
             cached_error_estimator,
             clear_estimator_memo,
-            estimator_memo_stats,
         )
 
         clear_estimator_memo()
         results = self._hammer(
             lambda: cached_error_estimator(serve_cache_kernel)
         )
-        stats = estimator_memo_stats()
+        stats = Session().estimator_memo_stats()
         # every call is accounted for, and the miss-build happened
         # exactly once: concurrent same-key requests waited on the
         # lock instead of compiling duplicate estimators
@@ -837,7 +865,6 @@ class TestSharedCacheThreadSafety:
     def test_config_kernel_cache_counters_exact_under_threads(self):
         from repro.codegen.compile import (
             clear_config_kernel_cache,
-            config_kernel_cache_stats,
             config_lane_kernel,
         )
 
@@ -845,7 +872,7 @@ class TestSharedCacheThreadSafety:
         results = self._hammer(
             lambda: config_lane_kernel(serve_cache_kernel.ir)
         )
-        stats = config_kernel_cache_stats()
+        stats = Session().stats()["config_kernel_cache"]
         assert (
             stats["hits"] + stats["misses"]
             == self.N_THREADS * self.CALLS

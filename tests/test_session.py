@@ -1,8 +1,7 @@
 """Session facade tests: SessionConfig serialization, shared-resource
-reuse (estimator memo + sweep cache hit counters), bit-identical
-equivalence between the legacy free functions and the session methods,
-provenance stamping, the plan/runs facades, the deprecation contract,
-and the error-hierarchy mapping."""
+reuse (estimator memo + sweep cache hit counters), serial/parallel
+search equivalence, provenance stamping, the plan/runs facades, and the
+error-hierarchy mapping."""
 
 import json
 
@@ -21,7 +20,7 @@ from repro import (
 )
 from repro.apps import blackscholes as bs
 from repro.apps import kmeans as km
-from repro.core.api import clear_estimator_memo, estimator_memo_stats
+from repro.core.api import clear_estimator_memo
 from repro.core.models import AdaptModel
 from repro.frontend import kernel
 from repro.ir.types import DType
@@ -140,9 +139,9 @@ class TestSharedResources:
         clear_estimator_memo()
         sess = Session()
         a = sess.estimate(sess_kernel)
-        before = estimator_memo_stats()
+        before = sess.estimator_memo_stats()
         b = sess.estimate(sess_kernel)
-        after = estimator_memo_stats()
+        after = sess.estimator_memo_stats()
         assert a is b
         assert after["hits"] == before["hits"] + 1
         assert after["entries"] == before["entries"]
@@ -187,87 +186,17 @@ class TestSharedResources:
         assert "sweep_cache" in stats
 
 
-class TestLegacyWrappers:
-    """The deprecated free functions warn and stay bit-identical."""
-
-    def test_estimate_error_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning, match="estimate_error"):
-            legacy = repro.estimate_error(sess_kernel)
-        fresh = Session().estimate(sess_kernel)
-        r1 = legacy.execute(1.5, 2.5)
-        r2 = fresh.execute(1.5, 2.5)
-        assert r1.total_error == r2.total_error
-        assert r1.per_variable == r2.per_variable
-
-    def test_sweep_error_warns_and_matches(self):
-        samples = _bs_samples()
-        with pytest.warns(DeprecationWarning, match="sweep_error"):
-            legacy = repro.sweep_error(
-                bs.bs_price, samples=samples, fixed=_BS_FIXED,
-                model=AdaptModel(),
-            )
-        fresh = Session().sweep(
-            bs.bs_price, samples, fixed=_BS_FIXED, model=AdaptModel()
-        )
-        np.testing.assert_array_equal(
-            legacy.total_error, fresh.total_error
-        )
-
-    def test_greedy_tune_warns_and_matches(self):
-        args = (100.0, 100.0, 0.05, 0.3, 0.5, 0)
-        with pytest.warns(DeprecationWarning, match="greedy_tune"):
-            legacy = repro.greedy_tune(bs.bs_price, args, 1e-8)
-        fresh = Session().tune(bs.bs_price, 1e-8, args=args)
-        assert legacy.config.demotions == fresh.config.demotions
-        assert legacy.estimated_error == fresh.estimated_error
-
-    def test_robust_tune_warns_and_matches(self):
-        samples = _bs_samples()
-        with pytest.warns(DeprecationWarning, match="robust_tune"):
-            legacy = repro.robust_tune(
-                bs.bs_price, samples=samples, threshold=1e-9,
-                fixed=_BS_FIXED,
-            )
-        fresh = Session().tune(
-            bs.bs_price, 1e-9, samples=samples, fixed=_BS_FIXED
-        )
-        assert legacy.config.demotions == fresh.config.demotions
-        assert legacy.estimated_error == fresh.estimated_error
-
-    def test_search_warns_and_is_bit_identical(self):
-        """Acceptance: session.search == legacy repro.search.search,
-        front AND full evaluation history, serial and parallel."""
+class TestSessionMethods:
+    def test_search_parallel_is_bit_identical(self):
+        """Acceptance: a workers=2 search matches the serial one, front
+        AND full evaluation history."""
         scen = km.search_scenario()
-        with pytest.warns(DeprecationWarning, match="search"):
-            legacy = repro.search.search(
-                scen.kernel, scen.points, scen.threshold,
-                candidates=scen.candidates, samples=scen.samples,
-                fixed=scen.fixed, budget=6,
-            )
         serial = Session().search(scen, budget=6)
-        assert _front_tuples(legacy) == _front_tuples(serial)
-        assert _history_tuples(legacy) == _history_tuples(serial)
         parallel = Session().search(scen, budget=6, workers=2)
         assert parallel.parallel
-        assert _front_tuples(legacy) == _front_tuples(parallel)
-        assert _history_tuples(legacy) == _history_tuples(parallel)
+        assert _front_tuples(serial) == _front_tuples(parallel)
+        assert _history_tuples(serial) == _history_tuples(parallel)
 
-    def test_warning_mentions_removal(self):
-        with pytest.warns(DeprecationWarning, match="2.0"):
-            repro.greedy_tune(
-                bs.bs_price, (100.0, 100.0, 0.05, 0.3, 0.5, 0), 1e-8
-            )
-
-    def test_search_cli_alias_warns(self, capsys):
-        from repro.search.__main__ import main as alias_main
-
-        with pytest.warns(DeprecationWarning, match="repro.search"):
-            code = alias_main(["--list"])
-        assert code == 0
-        assert "available scenarios" in capsys.readouterr().out
-
-
-class TestSessionMethods:
     def test_estimate_at(self):
         sess = Session()
         rep = sess.estimate_at(sess_kernel, (1.5, 2.5))

@@ -14,12 +14,12 @@ from repro.apps import simpsons
 from repro.core.api import (
     cached_error_estimator,
     clear_estimator_memo,
-    estimate_error,
 )
 from repro.core.models import AdaptModel, ExternalModel, TaylorModel
 from repro.codegen.npgen import UnvectorizableError, generate_batch_source
 from repro.frontend.registry import kernel
 from repro.ir.fingerprint import ir_fingerprint
+from repro.session import Session
 from repro.sweep import (
     BatchReport,
     SweepCache,
@@ -27,12 +27,13 @@ from repro.sweep import (
     grid_sweep,
     random_sweep,
     summarize,
-    sweep_error,
 )
 from repro.sweep.aggregate import resolve_aggregator
 from repro.sweep.cache import digest_inputs, make_key
-from repro.tuning import apply_precision, greedy_tune, robust_tune
-from repro.tuning.greedy import TuningResult
+from repro.sweep.engine import run_sweep
+from repro.tuning import apply_precision
+from repro.tuning.greedy import TuningResult, run_greedy_tune
+from repro.tuning.robust import run_robust_tune
 from repro.tuning.config import PrecisionConfig
 from repro.util.errors import ExecutionError
 
@@ -79,7 +80,7 @@ def _assert_point_matches(batch, scalar_report, i, rtol=1e-12):
 class TestBatchedExecution:
     def test_blackscholes_vectorized_matches_scalar(self):
         sw = _bs_sweep(60)
-        est = estimate_error(bs.bs_price, model=AdaptModel())
+        est = Session().estimate(bs.bs_price, model=AdaptModel())
         batch = est.execute_batch(*(sw[p] for p in (
             "sptprice", "strike", "rate", "volatility", "otime", "otype"
         )))
@@ -92,7 +93,7 @@ class TestBatchedExecution:
         # simpson has a counted for-loop and an if/else on the iteration
         # parity — both must survive vectorization unchanged
         hi = np.linspace(math.pi / 2, math.pi, 25)
-        est = estimate_error(simpsons.simpson, model=AdaptModel())
+        est = Session().estimate(simpsons.simpson, model=AdaptModel())
         batch = est.execute_batch(40, 0.0, hi)
         assert batch.backend == "vectorized"
         for i in range(25):
@@ -102,7 +103,7 @@ class TestBatchedExecution:
 
     def test_gradients_match_scalar(self):
         sw = _bs_sweep(20)
-        est = estimate_error(bs.bs_price, model=AdaptModel())
+        est = Session().estimate(bs.bs_price, model=AdaptModel())
         batch = est.execute_batch(*(sw[p] for p in (
             "sptprice", "strike", "rate", "volatility", "otime", "otype"
         )))
@@ -115,7 +116,7 @@ class TestBatchedExecution:
 
     def test_taylor_model_batch(self):
         hi = np.linspace(1.0, math.pi, 15)
-        est = estimate_error(simpsons.simpson, model=TaylorModel())
+        est = Session().estimate(simpsons.simpson, model=TaylorModel())
         batch = est.execute_batch(20, 0.0, hi)
         assert batch.backend == "vectorized"
         for i in range(15):
@@ -125,7 +126,7 @@ class TestBatchedExecution:
 
     def test_array_param_kernel_falls_back_to_loop(self):
         workload = bs.make_workload(8, seed=3)
-        est = estimate_error(bs.bs_total, model=AdaptModel())
+        est = Session().estimate(bs.bs_total, model=AdaptModel())
         # nothing batched: uniform arrays only -> loop backend, n=1
         batch = est.execute_batch(*workload)
         assert batch.backend == "loop"
@@ -142,7 +143,7 @@ class TestBatchedExecution:
             return y
 
         xs = np.array([3.0, 9.0, 1.5, 0.25])
-        est = estimate_error(halving_sweeptest, model=AdaptModel())
+        est = Session().estimate(halving_sweeptest, model=AdaptModel())
         batch = est.execute_batch(xs)
         assert batch.backend == "loop"
         for i, x in enumerate(xs):
@@ -155,7 +156,7 @@ class TestBatchedExecution:
             calls.append(name)
             return abs(dx) * 1e-7
 
-        est = estimate_error(bs.cndf, model=ExternalModel(user_err))
+        est = Session().estimate(bs.cndf, model=ExternalModel(user_err))
         xs = np.linspace(-2.0, 2.0, 9)
         batch = est.execute_batch(xs)
         assert batch.backend == "vectorized"
@@ -163,7 +164,7 @@ class TestBatchedExecution:
             _assert_point_matches(batch, est.execute(float(x)), i)
 
     def test_batch_size_mismatch_raises(self):
-        est = estimate_error(simpsons.simpson, model=AdaptModel())
+        est = Session().estimate(simpsons.simpson, model=AdaptModel())
         with pytest.raises(ExecutionError):
             est.execute_batch(10, np.zeros(4), np.ones(5))
 
@@ -179,7 +180,7 @@ class TestBatchedExecution:
             return z
 
         xs = np.array([1.0, 2.5, 0.3])
-        est = estimate_error(branchy_cse_sweeptest, model=AdaptModel())
+        est = Session().estimate(branchy_cse_sweeptest, model=AdaptModel())
         batch = est.execute_batch(xs, 1.0)
         assert batch.backend == "vectorized"
         for i, x in enumerate(xs):
@@ -196,7 +197,7 @@ class TestBatchedExecution:
             return w
 
         xs = np.array([1.0, 1e200])
-        est = estimate_error(overflowing_sweeptest, model=AdaptModel())
+        est = Session().estimate(overflowing_sweeptest, model=AdaptModel())
         batch = est.execute_batch(xs)
         assert batch.backend == "vectorized"
         for i, x in enumerate(xs):
@@ -211,12 +212,12 @@ class TestBatchedExecution:
             )
 
     def test_empty_sweep_rejected(self):
-        est = estimate_error(simpsons.simpson, model=AdaptModel())
+        est = Session().estimate(simpsons.simpson, model=AdaptModel())
         with pytest.raises(ExecutionError):
             est.execute_batch(10, 0.0, np.array([]))
 
     def test_tracked_estimator_uses_loop_backend(self):
-        est = estimate_error(
+        est = Session().estimate(
             simpsons.simpson, model=AdaptModel(), track=("s",)
         )
         batch = est.execute_batch(10, 0.0, np.array([2.0, 3.0]))
@@ -225,17 +226,17 @@ class TestBatchedExecution:
 
 class TestNpgen:
     def test_array_params_unvectorizable(self):
-        est = estimate_error(bs.bs_total, model=AdaptModel())
+        est = Session().estimate(bs.bs_total, model=AdaptModel())
         with pytest.raises(UnvectorizableError):
             generate_batch_source(est.adjoint_ir, {"n"})
 
     def test_unknown_batched_name_rejected(self):
-        est = estimate_error(bs.bs_price, model=AdaptModel())
+        est = Session().estimate(bs.bs_price, model=AdaptModel())
         with pytest.raises(UnvectorizableError):
             generate_batch_source(est.adjoint_ir, {"nonexistent"})
 
     def test_generated_source_has_masked_blends(self):
-        est = estimate_error(bs.bs_price, model=AdaptModel())
+        est = Session().estimate(bs.bs_price, model=AdaptModel())
         src = generate_batch_source(est.adjoint_ir, {"sptprice"})
         assert "_where(" in src  # data-dependent branches if-converted
 
@@ -318,7 +319,7 @@ class TestAggregate:
 
     def test_summarize(self):
         hi = np.linspace(math.pi / 2, math.pi, 40)
-        rep = sweep_error(
+        rep = run_sweep(
             simpsons.simpson,
             samples={"hi": hi},
             fixed={"n": 30, "lo": 0.0},
@@ -342,7 +343,7 @@ class TestSweepCache:
         return [np.linspace(1.0, 2.0, n), 0.5]
 
     def test_key_changes_with_ir_model_and_inputs(self):
-        est = estimate_error(simpsons.simpson, model=AdaptModel())
+        est = Session().estimate(simpsons.simpson, model=AdaptModel())
         primal = est.primal_ir
         args = [30, 0.0, np.linspace(1.0, 3.0, 8)]
         base = make_key(primal, AdaptModel(), args)
@@ -364,7 +365,7 @@ class TestSweepCache:
         assert base != make_key(primal, AdaptModel(), args, opt_level=0)
 
     def test_uncacheable_model_gets_no_key(self):
-        est = estimate_error(simpsons.simpson, model=AdaptModel())
+        est = Session().estimate(simpsons.simpson, model=AdaptModel())
         key = make_key(
             est.primal_ir,
             ExternalModel(lambda dx, x, name: 0.0),
@@ -381,15 +382,15 @@ class TestSweepCache:
             model=AdaptModel(),
             cache=cache,
         )
-        first = sweep_error(simpsons.simpson, **kwargs)
+        first = run_sweep(simpsons.simpson, **kwargs)
         assert not first.from_cache
         assert cache.misses == 1 and cache.hits == 0
-        second = sweep_error(simpsons.simpson, **kwargs)
+        second = run_sweep(simpsons.simpson, **kwargs)
         assert second.from_cache
         assert cache.hits == 1
         assert np.array_equal(first.total_error, second.total_error)
         # different inputs miss
-        sweep_error(
+        run_sweep(
             simpsons.simpson,
             samples={"hi": hi + 0.1},
             fixed={"n": 20, "lo": 0.0},
@@ -398,7 +399,7 @@ class TestSweepCache:
         )
         assert cache.misses == 2
         # different model misses
-        sweep_error(
+        run_sweep(
             simpsons.simpson,
             samples={"hi": hi},
             fixed={"n": 20, "lo": 0.0},
@@ -415,11 +416,11 @@ class TestSweepCache:
             model=AdaptModel(),
         )
         c1 = SweepCache(directory=tmp_path)
-        first = sweep_error(simpsons.simpson, cache=c1, **kwargs)
+        first = run_sweep(simpsons.simpson, cache=c1, **kwargs)
         assert not first.from_cache
         # a fresh cache over the same directory simulates a new process
         c2 = SweepCache(directory=tmp_path)
-        second = sweep_error(simpsons.simpson, cache=c2, **kwargs)
+        second = run_sweep(simpsons.simpson, cache=c2, **kwargs)
         assert second.from_cache
         assert c2.hits == 1 and c2.misses == 0
         assert np.array_equal(first.total_error, second.total_error)
@@ -433,18 +434,18 @@ class TestSweepCache:
             model=AdaptModel(),
         )
         c1 = SweepCache(directory=tmp_path)
-        sweep_error(simpsons.simpson, cache=c1, **kwargs)
+        run_sweep(simpsons.simpson, cache=c1, **kwargs)
         for p in tmp_path.glob("*.pkl"):
             p.write_bytes(b"not a pickle")
         c2 = SweepCache(directory=tmp_path)
-        rep = sweep_error(simpsons.simpson, cache=c2, **kwargs)
+        rep = run_sweep(simpsons.simpson, cache=c2, **kwargs)
         assert not rep.from_cache
         assert c2.misses == 1
         # the corrupt entry was evicted, then overwritten by the fresh
         # result — a third cache over the same directory hits again
         assert c2.corrupt_evictions == 1
         c3 = SweepCache(directory=tmp_path)
-        assert sweep_error(simpsons.simpson, cache=c3, **kwargs).from_cache
+        assert run_sweep(simpsons.simpson, cache=c3, **kwargs).from_cache
 
     @pytest.mark.parametrize("via_env", [False, True])
     def test_truncated_disk_entry_is_a_miss_and_evicted(
@@ -468,19 +469,19 @@ class TestSweepCache:
         )
         c1 = make()
         assert c1.directory == tmp_path
-        sweep_error(simpsons.simpson, cache=c1, **kwargs)
+        run_sweep(simpsons.simpson, cache=c1, **kwargs)
         (entry,) = tmp_path.glob("*.pkl")
         data = entry.read_bytes()
         entry.write_bytes(data[: len(data) // 2])  # truncate mid-write
         c2 = make()
-        rep = sweep_error(simpsons.simpson, cache=c2, **kwargs)
+        rep = run_sweep(simpsons.simpson, cache=c2, **kwargs)
         assert not rep.from_cache
         assert c2.misses == 1 and c2.hits == 0
         assert c2.corrupt_evictions == 1
         assert c2.cache_stats()["corrupt_evictions"] == 1
         # evict-then-recompute leaves a valid entry behind
         c3 = make()
-        rep3 = sweep_error(simpsons.simpson, cache=c3, **kwargs)
+        rep3 = run_sweep(simpsons.simpson, cache=c3, **kwargs)
         assert rep3.from_cache and c3.corrupt_evictions == 0
 
     def test_truncated_entry_eviction_when_refetch_skipped(self, tmp_path):
@@ -493,7 +494,7 @@ class TestSweepCache:
             model=AdaptModel(),
         )
         c1 = SweepCache(directory=tmp_path)
-        sweep_error(simpsons.simpson, cache=c1, **kwargs)
+        run_sweep(simpsons.simpson, cache=c1, **kwargs)
         (entry,) = tmp_path.glob("*.pkl")
         entry.write_bytes(entry.read_bytes()[:10])
         c2 = SweepCache(directory=tmp_path)
@@ -531,7 +532,7 @@ class TestSweepCache:
         # accept them (and give the same key as the Python equivalents)
         cache = SweepCache()
         hi = np.linspace(1.0, 2.0, 6)
-        rep = sweep_error(
+        rep = run_sweep(
             simpsons.simpson,
             samples={"hi": hi},
             fixed={"n": np.int64(10), "lo": np.float64(0.0)},
@@ -539,7 +540,7 @@ class TestSweepCache:
             cache=cache,
         )
         assert rep.n == 6
-        rep2 = sweep_error(
+        rep2 = run_sweep(
             simpsons.simpson,
             samples={"hi": hi},
             fixed={"n": 10, "lo": 0.0},
@@ -557,18 +558,18 @@ class TestSweepCache:
             model=AdaptModel(),
             cache=cache,
         )
-        r1 = sweep_error(simpsons.simpson, **kwargs)
-        r2 = sweep_error(simpsons.simpson, **kwargs)
+        r1 = run_sweep(simpsons.simpson, **kwargs)
+        r2 = run_sweep(simpsons.simpson, **kwargs)
         assert r2.from_cache and not r1.from_cache  # no retroactive flag
         assert r2.total_error is not r1.total_error
         # mutating a returned report must not corrupt the cache entry
         r2.total_error[:] = -1.0
-        r3 = sweep_error(simpsons.simpson, **kwargs)
+        r3 = run_sweep(simpsons.simpson, **kwargs)
         assert np.array_equal(r3.total_error, r1.total_error)
 
     def test_cache_accepts_directory_path(self, tmp_path):
         hi = np.linspace(1.0, 2.0, 5)
-        rep = sweep_error(
+        rep = run_sweep(
             simpsons.simpson,
             samples={"hi": hi},
             fixed={"n": 10, "lo": 0.0},
@@ -686,8 +687,8 @@ class TestEstimatorReuse:
 class TestRobustTune:
     def test_single_point_sweep_matches_greedy(self):
         args = simpsons.make_workload(50)
-        g = greedy_tune(simpsons.INSTRUMENTED, args, 1e-6)
-        r = robust_tune(
+        g = run_greedy_tune(simpsons.INSTRUMENTED, args, 1e-6)
+        r = run_robust_tune(
             simpsons.INSTRUMENTED,
             samples={"hi": np.array([args[2]])},
             fixed={"n": args[0], "lo": args[1]},
@@ -700,8 +701,8 @@ class TestRobustTune:
 
     def test_single_point_sweep_matches_greedy_blackscholes(self):
         sw = _bs_sweep(1, seed=21)
-        g = greedy_tune(bs.bs_price, _bs_point(sw, 0), 1e-8)
-        r = robust_tune(
+        g = run_greedy_tune(bs.bs_price, _bs_point(sw, 0), 1e-8)
+        r = run_robust_tune(
             bs.bs_price,
             samples={k: v[:1] for k, v in sw.items()},
             threshold=1e-8,
@@ -715,7 +716,7 @@ class TestRobustTune:
             n=120,
             seed=9,
         )
-        r = robust_tune(
+        r = run_robust_tune(
             simpsons.INSTRUMENTED,
             samples=samples,
             fixed={"n": 60},
@@ -732,7 +733,7 @@ class TestRobustTune:
     def test_threshold_holds_over_sweep_blackscholes(self):
         threshold = 1e-9
         samples = _bs_sweep(150, seed=17)
-        r = robust_tune(bs.bs_price, samples=samples, threshold=threshold)
+        r = run_robust_tune(bs.bs_price, samples=samples, threshold=threshold)
         assert r.sweep is not None and r.sweep.n == 150
         assert r.demoted, "expected at least one demotable variable"
         assert r.estimated_error <= threshold
@@ -745,7 +746,7 @@ class TestRobustTune:
         # every variable the robust (max-aggregated) run demotes must
         # also be demotable at each individual point's contribution
         samples = {"hi": np.linspace(math.pi / 2, math.pi, 40)}
-        r = robust_tune(
+        r = run_robust_tune(
             simpsons.INSTRUMENTED,
             samples=samples,
             fixed={"n": 40, "lo": 0.0},
@@ -760,14 +761,14 @@ class TestRobustTune:
 
     def test_mean_aggregation(self):
         samples = {"hi": np.linspace(math.pi / 2, math.pi, 30)}
-        rmax = robust_tune(
+        rmax = run_robust_tune(
             simpsons.INSTRUMENTED,
             samples=samples,
             fixed={"n": 30, "lo": 0.0},
             threshold=1e-7,
             aggregate="max",
         )
-        rmean = robust_tune(
+        rmean = run_robust_tune(
             simpsons.INSTRUMENTED,
             samples=samples,
             fixed={"n": 30, "lo": 0.0},
@@ -794,8 +795,8 @@ class TestRobustTune:
             threshold=1e-6,
             cache=cache,
         )
-        r1 = robust_tune(simpsons.INSTRUMENTED, **kwargs)
-        r2 = robust_tune(simpsons.INSTRUMENTED, **kwargs)
+        r1 = run_robust_tune(simpsons.INSTRUMENTED, **kwargs)
+        r2 = run_robust_tune(simpsons.INSTRUMENTED, **kwargs)
         assert cache.hits == 1
         assert r1.demoted == r2.demoted
         assert r2.sweep is not None and r2.sweep.from_cache

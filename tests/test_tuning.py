@@ -15,10 +15,10 @@ from repro.tuning import (
     apply_precision,
     estimate_split_speedup,
     find_split_iteration,
-    greedy_tune,
     iteration_sensitivity,
     validate_config,
 )
+from repro.tuning.greedy import run_greedy_tune
 
 
 @kernel
@@ -100,41 +100,41 @@ class TestApplyPrecision:
 class TestGreedy:
     def test_respects_threshold(self):
         args = _workload()
-        result = greedy_tune(tu_kernel, args, threshold=1e-7)
+        result = run_greedy_tune(tu_kernel, args, threshold=1e-7)
         assert result.estimated_error <= 1e-7
         # the ranking covers every error register
         assert len(result.ranking) >= 3
 
     def test_zero_threshold_demotes_nothing_inexact(self):
         args = _workload()
-        result = greedy_tune(tu_kernel, args, threshold=0.0)
+        result = run_greedy_tune(tu_kernel, args, threshold=0.0)
         # only exactly-zero-contribution variables may be demoted
         for v in result.demoted:
             assert dict(result.ranking)[v] == 0.0
 
     def test_huge_threshold_demotes_everything(self):
         args = _workload()
-        result = greedy_tune(tu_kernel, args, threshold=1e6)
+        result = run_greedy_tune(tu_kernel, args, threshold=1e6)
         assert set(result.demoted) == {v for v, _ in result.ranking}
 
     def test_candidates_filter(self):
         args = _workload()
-        result = greedy_tune(
+        result = run_greedy_tune(
             tu_kernel, args, threshold=1e6, candidates=["t"]
         )
         assert result.demoted == ["t"]
 
     def test_monotone_in_threshold(self):
         args = _workload()
-        small = greedy_tune(tu_kernel, args, threshold=1e-9)
-        large = greedy_tune(tu_kernel, args, threshold=1e-3)
+        small = run_greedy_tune(tu_kernel, args, threshold=1e-9)
+        large = run_greedy_tune(tu_kernel, args, threshold=1e-3)
         assert set(small.demoted) <= set(large.demoted)
 
 
 class TestValidate:
     def test_actual_error_within_estimate_ballpark(self):
         args = _workload()
-        tuning = greedy_tune(tu_kernel, args, threshold=1e-6)
+        tuning = run_greedy_tune(tu_kernel, args, threshold=1e-6)
         v = validate_config(tu_kernel, tuning.config, _workload())
         # first-order estimates: actual within ~10x of the bound
         assert v.actual_error <= 10.0 * max(tuning.estimated_error, 1e-300)

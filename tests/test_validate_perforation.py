@@ -170,7 +170,7 @@ class TestPerforationAccounting:
                 s = s + x * x
             return s
 
-        est = repro.estimate_error(vp_accum, track=["s"])
+        est = repro.Session().estimate(vp_accum, track=["s"])
         rep = est.execute(self.N_ITER, 0.37)
         trace = rep.traces["s"]
         # one sample per assignment to `s`, backward order: the final
