@@ -26,21 +26,10 @@ from repro.codegen.npgen import (
     generate_config_lane_source,
 )
 from repro.codegen.pygen import generate_source
-from repro.interp.cost_model import (
-    CostModel,
-    DEFAULT_COST_MODEL,
-    expr_cost,
-    store_cost,
-)
+from repro.interp.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.ir import nodes as N
 from repro.ir.fingerprint import ir_fingerprint
-from repro.ir.types import (
-    PROMOTION_RANK,
-    ArrayType,
-    DType,
-    ScalarType,
-)
-from repro.ir.typecheck import infer_types
+from repro.ir.types import PROMOTION_RANK, ArrayType, DType
 from repro.ir.visitor import walk_stmts
 from repro.util.errors import ExecutionError, ReproError
 
@@ -213,32 +202,6 @@ def _site_dtype(kind: str, node: object) -> Optional[DType]:
     return getattr(node, "dtype", None)
 
 
-def _charge_value(
-    site,
-    cost_model: CostModel,
-    approx: Optional[Set[str]],
-) -> float:
-    """Evaluate one charge site against current node dtypes — the same
-    ``expr_cost``/``store_cost`` arithmetic pygen bakes into counting
-    code."""
-    s = site.node
-    if site.kind == "decl":
-        tgt = N.Name(s.name)
-        tgt.dtype = s.dtype
-        return expr_cost(s.init, cost_model, approx) + store_cost(
-            tgt, s.init, cost_model
-        )
-    if site.kind == "store":
-        return expr_cost(s.value, cost_model, approx) + store_cost(
-            s.target, s.value, cost_model
-        )
-    if site.kind == "if":
-        return expr_cost(s.cond, cost_model, approx)
-    if site.kind == "while":
-        return 1.0 + expr_cost(s.cond, cost_model, approx)
-    raise KeyError(site.kind)
-
-
 @dataclass
 class LoweredConfigPool:
     """Lane parameters specializing a compiled kernel to K configs."""
@@ -263,98 +226,13 @@ def _pack_rows(rows: np.ndarray, k: int) -> List[object]:
     return [_pack_row(row, k) for row in rows]
 
 
-def lower_config_pool_reference(
-    program: ConfigLaneProgram,
-    configs: Sequence[object],
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    approx: Optional[Set[str]] = None,
-) -> LoweredConfigPool:
-    """Reference lowering: one full type-inference pass per config.
-
-    Applies each configuration's storage dtypes to the program's IR *in
-    place* (restored afterwards) and re-runs the shared type inference —
-    exactly what ``apply_precision`` does on a clone — then reads each
-    site's dtype/cost off the re-typed nodes.  No cloning, no code
-    generation, no compilation.
-
-    This is the semantics oracle: :func:`lower_config_pool` (the
-    vectorized production path) must produce identical lane parameters,
-    and the test suite asserts it does.
-
-    :raises KeyError: if a configuration names unknown variables (the
-        same error the scalar path raises).
-    :raises ConfigLoweringError: if a configuration targets a variable
-        whose baseline storage is not a float (the scalar path would
-        change integer semantics; callers fall back to it).
-    """
-    from repro.tuning.config import resolve_targets
-
-    fn = program.fn
-    k = len(configs)
-    if k == 0:
-        raise ValueError("empty configuration pool")
-    decls = [s for s in walk_stmts(fn.body) if isinstance(s, N.VarDecl)]
-    base_params = [p.type for p in fn.params]
-    base_decls = [d.dtype for d in decls]
-    rs = np.zeros((len(program.round_sites), k), dtype=np.int8)
-    ch = np.zeros((len(program.charge_sites), k), dtype=np.float64)
-    cs = np.zeros((len(program.const_sites), k), dtype=np.float64)
-
-    def restore() -> None:
-        for p, t in zip(fn.params, base_params):
-            p.type = t
-        for d, t in zip(decls, base_decls):
-            d.dtype = t
-
-    try:
-        for j, config in enumerate(configs):
-            targets = resolve_targets(fn, config)
-            for name in targets:
-                if program.var_baseline.get(name) not in _FLOAT_DTYPES:
-                    raise ConfigLoweringError(
-                        f"{fn.name}: config targets non-float "
-                        f"variable {name!r}"
-                    )
-            restore()
-            for p in fn.params:
-                dt = targets.get(p.name)
-                if dt is not None:
-                    p.type = (
-                        ArrayType(dt)
-                        if isinstance(p.type, ArrayType)
-                        else ScalarType(dt)
-                    )
-            for d in decls:
-                dt = targets.get(d.name)
-                if dt is not None:
-                    d.dtype = dt
-            infer_types(fn)
-            for i, site in enumerate(program.round_sites):
-                rs[i, j] = _dtype_code(_site_dtype(site.kind, site.node))
-            for i, site in enumerate(program.charge_sites):
-                ch[i, j] = _charge_value(site, cost_model, approx)
-            for i, cnode in enumerate(program.const_sites):
-                cs[i, j] = cnode.value
-    finally:
-        restore()
-        infer_types(fn)
-    return LoweredConfigPool(
-        k=k,
-        selectors=[
-            runtime.LaneSelector.from_codes(rs[i])
-            for i in range(len(program.round_sites))
-        ],
-        charges=_pack_rows(ch, k),
-        consts=_pack_rows(cs, k),
-    )
-
-
-# -- vectorized lowering (the production path) ------------------------------
+# -- vectorized lowering -----------------------------------------------------
 #
-# The reference lowering above re-types the whole IR once per config —
-# O(K × IR) Python work that dominates pool evaluation once execution
-# itself is vectorized.  The production path below computes the same
-# lane parameters in ONE memoized expression-evaluation pass: every
+# Re-typing the whole IR once per config (the test suite's reference
+# lowering) is O(K × IR) Python work that would dominate pool
+# evaluation once execution itself is vectorized.  The lowering below
+# computes the same lane parameters in ONE memoized expression-evaluation
+# pass: every
 # variable's dtype becomes a (K,) *code vector* and the typing lattice
 # (``repro.ir.types.promote`` is a rank max) plus the cost-model
 # arithmetic evaluate vectorized over all K configs at once.
@@ -613,9 +491,10 @@ def lower_config_pool(
     Vectorized over the config axis: one memoized expression-evaluation
     pass computes every site's per-lane dtype selector and cycle charge
     for all K configurations at once.  Produces exactly the parameters
-    :func:`lower_config_pool_reference` (one type-inference pass per
-    config — the scalar path's own machinery) would; the test suite
-    holds the two to bitwise agreement.
+    one type-inference pass per config (the scalar path's own
+    machinery) would: ``lower_config_pool_reference`` in
+    ``tests/test_config_batch.py`` is that oracle, held to bitwise
+    agreement with this function.
 
     :raises KeyError: if a configuration names unknown variables (the
         same error the scalar path raises).

@@ -6,11 +6,10 @@ code terse and make sure ``dtype`` is always populated.
 
 from __future__ import annotations
 
-import copy
-from typing import List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.ir import nodes as N
-from repro.ir.types import DType, promote
+from repro.ir.types import ArrayType, DType, ScalarType, promote
 
 
 def const(value: Union[float, int, bool], dtype: Optional[DType] = None) -> N.Const:
@@ -121,8 +120,75 @@ def accumulate(target: N.LValue, value: N.Expr) -> N.Assign:
 
 
 def clone(node):
-    """Deep-copy an IR subtree (nodes are mutable dataclasses)."""
-    return copy.deepcopy(node)
+    """Copy an IR subtree structurally (nodes are mutable dataclasses).
+
+    Every node and list in the tree is copied; the immutable leaves
+    (``DType``, the frozen ``Type`` singletons, strings and numbers) are
+    shared.  ``Function.meta`` (nested dicts/lists/tuples of leaves) is
+    copied the same way.  Unlike ``copy.deepcopy`` there is no memo: a
+    node object reachable twice is copied twice, which no IR relies on.
+
+    :raises TypeError: on a value outside the IR's closed set of types.
+    """
+    return _copy(node)
+
+
+def _copy(value):
+    copier = _COPIERS.get(type(value))
+    if copier is None:
+        raise TypeError(
+            f"clone: unexpected {type(value).__name__} in IR"
+        )
+    return copier(value)
+
+
+def _copy_node(node):
+    new = object.__new__(type(node))
+    # filled in place: measurably cheaper than assigning a fresh dict
+    # to ``__dict__``
+    attrs = new.__dict__
+    for k, v in node.__dict__.items():
+        attrs[k] = v if type(v) in _SHARED else _copy(v)
+    return new
+
+
+def _copy_list(items: list) -> list:
+    return [v if type(v) in _SHARED else _copy(v) for v in items]
+
+
+def _copy_tuple(items: tuple) -> tuple:
+    return tuple(v if type(v) in _SHARED else _copy(v) for v in items)
+
+
+def _copy_dict(d: dict) -> dict:
+    return {
+        k: v if type(v) in _SHARED else _copy(v) for k, v in d.items()
+    }
+
+
+def _share(value):
+    return value
+
+
+#: immutable leaf types: shared between the original and the copy
+_SHARED = frozenset(
+    [str, int, float, bool, type(None), DType, ScalarType, ArrayType]
+)
+#: the closed set of IR node classes
+_NODES = tuple(
+    cls
+    for cls in vars(N).values()
+    if isinstance(cls, type)
+    and cls.__module__ == N.__name__
+    and cls not in (N.Expr, N.Stmt)
+)
+_COPIERS: Dict[type, Callable] = {
+    **{t: _share for t in _SHARED},
+    **{cls: _copy_node for cls in _NODES},
+    list: _copy_list,
+    tuple: _copy_tuple,
+    dict: _copy_dict,
+}
 
 
 def for_range(

@@ -73,7 +73,7 @@ from repro.search.strategies import (
 )
 from repro.sweep.aggregate import AggregatorSpec, resolve_aggregator
 from repro.sweep.cache import SweepCache
-from repro.sweep.engine import CacheLike, run_sweep
+from repro.sweep.engine import CacheLike, resolve_cache, run_sweep
 from repro.tuning.config import matches_inlined
 from repro.util.errors import ConfigError, InputError
 
@@ -174,12 +174,6 @@ class SearchResult:
                     f"{best.config.describe()}"
                 )
         return "\n".join(lines)
-
-
-def _resolve_cache(cache: CacheLike) -> Optional[SweepCache]:
-    if cache is None or isinstance(cache, SweepCache):
-        return cache
-    return SweepCache(directory=cache)
 
 
 def _resolve_store(store: StoreLike) -> Optional[RunStore]:
@@ -499,7 +493,7 @@ def run_search(
             "points must be a sequence of argument tuples, e.g. "
             "[(n, h), ...] — got a flat sequence"
         )
-    sweep_cache = _resolve_cache(cache)
+    sweep_cache = resolve_cache(cache)
     names = tuple(strategies)
     run_store = _resolve_store(store)
     if resume and run_store is None:

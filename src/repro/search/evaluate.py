@@ -36,14 +36,21 @@ from typing import (
 import numpy as np
 
 from repro.codegen.compile import ConfigLoweringError
-from repro.core.api import KernelLike
+from repro.core.api import KernelLike, cached_error_estimator
 from repro.frontend.registry import Kernel
 from repro.interp.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.ir import nodes as N
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.sweep.aggregate import AggregatorSpec, resolve_aggregator
-from repro.sweep.engine import CacheLike, run_sweep
+from repro.sweep.batch import BatchReport
+from repro.sweep.cache import make_key
+from repro.sweep.engine import (
+    CacheLike,
+    build_args,
+    resolve_cache,
+    run_sweep,
+)
 from repro.tuning.config import PrecisionConfig, apply_precision
 from repro.util.errors import ConfigError, InvalidRecordError, StoreError
 from repro.tuning.validate import (
@@ -141,15 +148,22 @@ class CandidateEvaluator:
     :param aggregate: how per-sample estimates reduce (default worst
         case, matching robust tuning).
     :param cache: optional :class:`repro.sweep.SweepCache` (or directory)
-        for the per-candidate sweeps — configurations re-proposed across
-        strategies, runs, or processes become cache hits.
+        for the candidates' estimate sweeps (keyed per configuration,
+        whether estimated pool-wise or one by one) — configurations
+        re-proposed across strategies, runs, or processes become cache
+        hits.
     :param error_metric: ``"worst"`` (default; max of actual and
         estimated), ``"actual"``, or ``"estimate"``.
-    :param config_batch: score proposal pools through the compile-once
-        config-batched kernel (``repro.codegen`` lane engine) instead of
-        one ``apply_precision`` + compile + scalar loop per candidate.
-        Results are bit-identical either way; ``False`` forces the
-        per-candidate path (ablation / benchmarking hook).
+    :param config_batch: score proposal pools of two or more configs
+        pool-wise: the actual-error and cycle axes through the
+        compile-once config-batched counting kernel (``repro.codegen``
+        lane engine), and the estimated-error axis through one
+        :meth:`~repro.core.api.ErrorEstimator.execute_config_batch`
+        call on the kernel's own estimator, instead of one
+        ``apply_precision`` + compile + scalar loop and one
+        ``run_sweep`` (adjoint build + compile) per candidate.  Results
+        are bit-identical either way; ``False`` forces the
+        per-candidate path (the reference, and an ablation hook).
     """
 
     def __init__(
@@ -225,8 +239,11 @@ class CandidateEvaluator:
             ReferencePoint(*run(args)) for args in self.points
         ]
         if self.samples is not None:
-            # prewarm: reference estimate (also populates the estimator
-            # memo with the reference adjoint pre-fork)
+            # prewarm: the reference adjoint goes into the estimator memo
+            # pre-fork (pool estimates run on it; a sweep-cache hit
+            # below would not build it), then the reference estimate
+            if self.estimate_model.cacheable:
+                cached_error_estimator(self.fn, model=self.estimate_model)
             run_sweep(
                 self.fn,
                 samples=self.samples,
@@ -371,20 +388,27 @@ class CandidateEvaluator:
         """Serial pool computation (overridden by ParallelEvaluator).
 
         The config-batched path scores the whole pool — K configs × N
-        validation points — through one compiled lane kernel; the
-        per-candidate path (``config_batch=False``, unvectorizable
-        kernels, or pools a lane batch cannot express) compiles and
-        runs each configuration separately.  Scores are bit-identical.
+        validation points — through one compiled lane kernel, and its
+        estimated-error axis through one config-batched estimator call
+        (:meth:`_pool_estimates`); the per-candidate path
+        (``config_batch=False``, unvectorizable kernels, or pools a lane
+        batch cannot express) compiles and runs each configuration
+        separately.  Scores are bit-identical.
         """
+        estimates = self._pool_estimates(configs)
+
+        def compute(c: PrecisionConfig) -> EvaluatedCandidate:
+            return self._compute(c, estimates.get(id(c)))
+
         runner = self.pool_runner()
         pool = [c for c in configs if c]
         if runner is None or len(pool) < 2:
-            return [self._compute(c) for c in configs]
+            return [compute(c) for c in configs]
         try:
             values, costs = runner(pool, self.points)
         except ConfigLoweringError:
             self.n_pool_fallbacks += 1
-            return [self._compute(c) for c in configs]
+            return [compute(c) for c in configs]
         self.n_pool_runs += 1
         self.n_pool_lanes += len(pool)
         lanes: Dict[int, EvaluatedCandidate] = {}
@@ -396,12 +420,61 @@ class CandidateEvaluator:
             cycles = 0.0
             for j in range(len(self.points)):
                 cycles += float(costs[lane, j])
-            lanes[id(config)] = self._finish(config, errors, cycles)
-        return [
-            lanes[id(c)] if c else self._compute(c) for c in configs
-        ]
+            lanes[id(config)] = self._finish(
+                config, errors, cycles, estimated=estimates.get(id(config))
+            )
+        return [lanes[id(c)] if c else compute(c) for c in configs]
 
-    def _compute(self, config: PrecisionConfig) -> EvaluatedCandidate:
+    def _pool_estimates(
+        self, configs: Sequence[PrecisionConfig]
+    ) -> Dict[int, float]:
+        """Estimated-error axis of a pool, keyed by ``id(config)``.
+
+        One :meth:`~repro.core.api.ErrorEstimator.execute_config_batch`
+        call on the kernel's own (memoized) estimator covers every
+        configuration, instead of one adjoint build and compile per
+        demoted kernel.  With a sweep cache, each configuration's
+        ``run_sweep`` key is looked up first, only the misses are
+        batched, and each miss's lane report is stored under that key —
+        the same entry a per-candidate ``run_sweep`` would write.
+        Empty (no samples, ``config_batch`` off, or a pool of fewer
+        than two) when the per-candidate path in :meth:`_finish` runs
+        the sweeps instead.
+        """
+        if self.samples is None or not self.config_batch or len(configs) < 2:
+            return {}
+        args = build_args(self.fn, self.samples, self.fixed)
+        store = resolve_cache(self.cache)
+        estimates: Dict[int, float] = {}
+        misses: List[Tuple[PrecisionConfig, Optional[str]]] = []
+        for c in configs:
+            key: Optional[str] = None
+            if store is not None:
+                mixed = apply_precision(self.fn, c) if c else self.fn
+                key = make_key(mixed, self.estimate_model, args)
+                hit = store.get(key)
+                if hit is not None:
+                    estimates[id(c)] = self._aggregate(hit)
+                    continue
+            misses.append((c, key))
+        if misses:
+            est = cached_error_estimator(self.fn, model=self.estimate_model)
+            rep = est.execute_config_batch([c for c, _ in misses], *args)
+            for lane, (c, key) in enumerate(misses):
+                batch = rep.report(lane)
+                if store is not None:
+                    store.put(key, batch)
+                estimates[id(c)] = self._aggregate(batch)
+        return estimates
+
+    def _aggregate(self, batch: BatchReport) -> float:
+        return float(
+            self._agg(np.asarray(batch.total_error, dtype=np.float64))
+        )
+
+    def _compute(
+        self, config: PrecisionConfig, estimated: Optional[float] = None
+    ) -> EvaluatedCandidate:
         """Score one configuration from scratch (pure: no memo access,
         no index assignment — safe to run in a worker process)."""
         refs = self.references
@@ -418,7 +491,9 @@ class CandidateEvaluator:
             mixed_fn = self.fn
             errors = [0.0 for _ in refs]
             cycles = sum(r.cost for r in refs)
-        return self._finish(config, errors, cycles, mixed_fn=mixed_fn)
+        return self._finish(
+            config, errors, cycles, mixed_fn=mixed_fn, estimated=estimated
+        )
 
     def _finish(
         self,
@@ -426,30 +501,32 @@ class CandidateEvaluator:
         errors: List[float],
         cycles: float,
         mixed_fn: Optional[N.Function] = None,
+        estimated: Optional[float] = None,
     ) -> EvaluatedCandidate:
         """Shared scoring tail: sweep estimate, objective, candidate.
 
         Both computation paths funnel through here so the aggregation
         arithmetic (and therefore every float in the result) is the
-        same code either way.
+        same code either way.  ``estimated`` comes from
+        :meth:`_pool_estimates` when the pool was estimated at once;
+        otherwise (the per-candidate path) the demoted kernel's sweep
+        runs here.
         """
         refs = self.references
         cycles_ref = sum(r.cost for r in refs)
-        estimated: Optional[float] = None
-        if self.samples is not None:
+        if self.samples is not None and estimated is None:
             if mixed_fn is None:
                 mixed_fn = (
                     apply_precision(self.fn, config) if config else self.fn
                 )
-            batch = run_sweep(
-                mixed_fn,
-                samples=self.samples,
-                fixed=self.fixed,
-                model=self.estimate_model,
-                cache=self.cache,
-            )
-            estimated = float(
-                self._agg(np.asarray(batch.total_error, dtype=np.float64))
+            estimated = self._aggregate(
+                run_sweep(
+                    mixed_fn,
+                    samples=self.samples,
+                    fixed=self.fixed,
+                    model=self.estimate_model,
+                    cache=self.cache,
+                )
             )
 
         actual = max(errors)

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core.api import KernelLike, cached_error_estimator
 from repro.core.models import ErrorModel, TaylorModel
+from repro.frontend.registry import Kernel
 from repro.ir import nodes as N
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -41,7 +42,8 @@ from repro.util.errors import ExecutionError
 CacheLike = Union[None, str, Path, SweepCache]
 
 
-def _resolve_cache(cache: CacheLike) -> Optional[SweepCache]:
+def resolve_cache(cache: CacheLike) -> Optional[SweepCache]:
+    """A :class:`SweepCache` (or ``None``) from any ``cache=`` value."""
     if cache is None or isinstance(cache, SweepCache):
         return cache
     return SweepCache(directory=cache)
@@ -107,25 +109,27 @@ def run_sweep(
     """
     model = model or TaylorModel()
     with obs_trace.span("sweep.run", kernel=_kernel_name(k)) as sp:
-        est = cached_error_estimator(
-            k, model=model, opt_level=opt_level, minimal_pushes=minimal_pushes
-        )
-        args = build_args(est.primal_ir, dict(samples), dict(fixed or {}))
+        primal = k.ir if isinstance(k, Kernel) else k
+        args = build_args(primal, dict(samples), dict(fixed or {}))
         n = max(
             (len(a) for a in args if isinstance(a, np.ndarray)), default=1
         )
         sp.set(n=n)
-        store = _resolve_cache(cache)
+        store = resolve_cache(cache)
         key: Optional[str] = None
         if store is not None:
             key = make_key(
-                est.primal_ir, model, args,
+                primal, model, args,
                 opt_level=opt_level, minimal_pushes=minimal_pushes,
             )
             hit = store.get(key)
             if hit is not None:
                 sp.set(cache="hit")
                 return hit
+        # built only on a cache miss: a hit needs no adjoint
+        est = cached_error_estimator(
+            k, model=model, opt_level=opt_level, minimal_pushes=minimal_pushes
+        )
         report = est.execute_batch(*args)
         sp.set(cache="miss" if store is not None else "off")
         obs_metrics.REGISTRY.counter(

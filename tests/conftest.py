@@ -39,6 +39,33 @@ def result_content(payload):
     return {k: v for k, v in payload.items() if k not in VOLATILE}
 
 
+def assert_reports_identical(a, b):
+    """Two sweep reports' ``to_dict()`` forms are equal bit for bit."""
+
+    def same(x, y):
+        if isinstance(x, dict):
+            assert x.keys() == y.keys()
+            for k in x:
+                same(x[k], y[k])
+        elif isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+        else:
+            assert x == y
+
+    same(a.to_dict(), b.to_dict())
+
+
+def search_fingerprint(res):
+    """A search's front and history (estimated-error axis included) and
+    its run id."""
+
+    def cands(cs):
+        return [(c.key, c.error, c.estimated_error, c.cycles) for c in cs]
+
+    return cands(res.front.points), cands(res.evaluations), res.run_id
+
+
 @pytest.fixture
 def serve_payload():
     """``serve_payload(raw)``: the result content a job server computes

@@ -12,33 +12,54 @@ strategy.
 
 from __future__ import annotations
 
+from typing import Optional, Sequence, Set
+
 import numpy as np
 import pytest
 
 from repro.apps import blackscholes as bs
 from repro.apps import kmeans as km
+from repro.apps import simpsons
+from repro.codegen import runtime
 from repro.codegen.compile import (
     ConfigLoweringError,
+    LoweredConfigPool,
+    _dtype_code,
+    _pack_rows,
+    _site_dtype,
     clear_config_kernel_cache,
     config_lane_kernel,
     lower_config_pool,
-    lower_config_pool_reference,
 )
 from repro.codegen.npgen import (
+    _FLOAT_DTYPES,
+    ConfigLaneProgram,
     UnvectorizableError,
     generate_config_lane_source,
 )
 from repro.core.api import (
+    _memo_stats,
     cached_error_estimator,
     clear_estimator_memo,
 )
 from repro.core.models import AdaptModel, TaylorModel
 from repro.frontend.registry import kernel as register_kernel
+from repro.interp.cost_model import (
+    CostModel,
+    DEFAULT_COST_MODEL,
+    expr_cost,
+    store_cost,
+)
+from repro.ir import nodes as N
 from repro.ir.fingerprint import ir_fingerprint
-from repro.ir.types import DType
+from repro.ir.typecheck import infer_types
+from repro.ir.types import ArrayType, DType, ScalarType
+from repro.ir.visitor import walk_stmts
 from repro.search.evaluate import CandidateEvaluator, config_key
 from repro.search.parallel import ParallelEvaluator
 from repro.session import Session
+from repro.sweep.cache import SweepCache
+from repro.sweep.engine import run_sweep
 from repro.sweep.samplers import random_sweep
 from repro.tuning.config import (
     PrecisionConfig,
@@ -46,6 +67,7 @@ from repro.tuning.config import (
     resolve_targets,
 )
 from repro.tuning.validate import counting_runner, pool_counting_runner
+from tests.conftest import assert_reports_identical, search_fingerprint
 
 KM_CANDIDATES = ("attributes", "clusters", "sum", "total", "best", "d")
 
@@ -176,6 +198,118 @@ class TestPoolRunner:
 # --------------------------------------------------------------------------
 # Vectorized lowering vs the type-inference reference
 # --------------------------------------------------------------------------
+
+
+def _charge_value(
+    site,
+    cost_model: CostModel,
+    approx: Optional[Set[str]],
+) -> float:
+    """Evaluate one charge site against current node dtypes — the same
+    ``expr_cost``/``store_cost`` arithmetic pygen bakes into counting
+    code."""
+    s = site.node
+    if site.kind == "decl":
+        tgt = N.Name(s.name)
+        tgt.dtype = s.dtype
+        return expr_cost(s.init, cost_model, approx) + store_cost(
+            tgt, s.init, cost_model
+        )
+    if site.kind == "store":
+        return expr_cost(s.value, cost_model, approx) + store_cost(
+            s.target, s.value, cost_model
+        )
+    if site.kind == "if":
+        return expr_cost(s.cond, cost_model, approx)
+    if site.kind == "while":
+        return 1.0 + expr_cost(s.cond, cost_model, approx)
+    raise KeyError(site.kind)
+
+
+def lower_config_pool_reference(
+    program: ConfigLaneProgram,
+    configs: Sequence[object],
+    cost_model: CostModel = DEFAULT_COST_MODEL,
+    approx: Optional[Set[str]] = None,
+) -> LoweredConfigPool:
+    """Reference lowering: one full type-inference pass per config.
+
+    The semantics oracle of ``repro.codegen.compile.lower_config_pool``;
+    test-only, so it lives here rather than in the package.
+
+    Applies each configuration's storage dtypes to the program's IR *in
+    place* (restored afterwards) and re-runs the shared type inference —
+    exactly what ``apply_precision`` does on a clone — then reads each
+    site's dtype/cost off the re-typed nodes.  No cloning, no code
+    generation, no compilation.
+
+    :func:`lower_config_pool` (the vectorized production path) must
+    produce identical lane parameters; the tests below assert it does.
+
+    :raises KeyError: if a configuration names unknown variables (the
+        same error the scalar path raises).
+    :raises ConfigLoweringError: if a configuration targets a variable
+        whose baseline storage is not a float (the scalar path would
+        change integer semantics; callers fall back to it).
+    """
+    fn = program.fn
+    k = len(configs)
+    if k == 0:
+        raise ValueError("empty configuration pool")
+    decls = [s for s in walk_stmts(fn.body) if isinstance(s, N.VarDecl)]
+    base_params = [p.type for p in fn.params]
+    base_decls = [d.dtype for d in decls]
+    rs = np.zeros((len(program.round_sites), k), dtype=np.int8)
+    ch = np.zeros((len(program.charge_sites), k), dtype=np.float64)
+    cs = np.zeros((len(program.const_sites), k), dtype=np.float64)
+
+    def restore() -> None:
+        for p, t in zip(fn.params, base_params):
+            p.type = t
+        for d, t in zip(decls, base_decls):
+            d.dtype = t
+
+    try:
+        for j, config in enumerate(configs):
+            targets = resolve_targets(fn, config)
+            for name in targets:
+                if program.var_baseline.get(name) not in _FLOAT_DTYPES:
+                    raise ConfigLoweringError(
+                        f"{fn.name}: config targets non-float "
+                        f"variable {name!r}"
+                    )
+            restore()
+            for p in fn.params:
+                dt = targets.get(p.name)
+                if dt is not None:
+                    p.type = (
+                        ArrayType(dt)
+                        if isinstance(p.type, ArrayType)
+                        else ScalarType(dt)
+                    )
+            for d in decls:
+                dt = targets.get(d.name)
+                if dt is not None:
+                    d.dtype = dt
+            infer_types(fn)
+            for i, site in enumerate(program.round_sites):
+                rs[i, j] = _dtype_code(_site_dtype(site.kind, site.node))
+            for i, site in enumerate(program.charge_sites):
+                ch[i, j] = _charge_value(site, cost_model, approx)
+            for i, cnode in enumerate(program.const_sites):
+                cs[i, j] = cnode.value
+    finally:
+        restore()
+        infer_types(fn)
+    return LoweredConfigPool(
+        k=k,
+        selectors=[
+            runtime.LaneSelector.from_codes(rs[i])
+            for i in range(len(program.round_sites))
+        ],
+        charges=_pack_rows(ch, k),
+        consts=_pack_rows(cs, k),
+    )
 
 
 def _pools_equal(a, b):
@@ -496,20 +630,67 @@ class TestExecuteConfigBatch:
 # --------------------------------------------------------------------------
 
 
+#: small search scenarios: kmeans has no input sweep; simpsons sweeps
+#: its integration domain, so it also pins the estimated-error axis
+SEARCH_SCENARIOS = {
+    "kmeans": lambda: km.search_scenario(size=10, n_workloads=2),
+    "simpsons": lambda: simpsons.search_scenario(size=20, n_samples=8),
+}
+
+
 class TestSearchIntegration:
     def _front_fp(self, res):
         return [(p.key, p.error, p.cycles) for p in res.front.points]
 
-    def test_search_config_batch_identical_to_per_candidate(self):
-        scen = km.search_scenario(size=10, n_workloads=2)
-        a = scen.run(seed=0, budget=10)
-        b = scen.run(seed=0, budget=10, config_batch=False)
-        assert self._front_fp(a) == self._front_fp(b)
-        evs_a = [(c.key, c.error, c.cycles) for c in a.evaluations]
-        evs_b = [(c.key, c.error, c.cycles) for c in b.evaluations]
-        assert evs_a == evs_b
-        assert a.stats["evaluator"]["pool_mode"] == "perpoint"
+    @pytest.mark.parametrize("name", sorted(SEARCH_SCENARIOS))
+    def test_search_config_batch_identical_to_per_candidate(
+        self, name, tmp_path
+    ):
+        scen = SEARCH_SCENARIOS[name]()
+        runs, builds = {}, {}
+        for batch in (True, False):
+            clear_estimator_memo()
+            runs[batch] = scen.run(
+                session=Session(store=tmp_path / str(batch)),
+                seed=0,
+                budget=10,
+                config_batch=batch,
+            )
+            builds[batch] = _memo_stats()["misses"]
+        a, b = runs[True], runs[False]
+        assert search_fingerprint(a) == search_fingerprint(b)
+        assert a.run_id is not None
         assert b.stats["evaluator"]["pool_mode"] is None
+        if name == "kmeans":
+            assert a.stats["evaluator"]["pool_mode"] == "perpoint"
+        else:
+            assert a.stats["evaluator"]["pool_runs"] >= 1
+            assert all(c.estimated_error is not None for c in a.evaluations)
+            # pools are estimated on the kernel's own estimator instead
+            # of one adjoint build per demoted candidate
+            assert builds[True] < builds[False]
+
+    def test_searched_candidates_hit_the_sweep_cache(self):
+        # pool-wise estimates store each candidate's report under the
+        # key a later per-candidate run_sweep looks up, and the stored
+        # report equals a fresh one bit for bit
+        scen = SEARCH_SCENARIOS["simpsons"]()
+        cache = SweepCache()
+        res = scen.run(session=Session(cache=cache), seed=0, budget=10)
+        assert res.stats["evaluator"]["pool_runs"] >= 1
+        for c in res.evaluations:
+            mixed = (
+                apply_precision(scen.kernel, c.config)
+                if c.config
+                else scen.kernel
+            )
+            kwargs = dict(
+                samples=scen.samples, fixed=scen.fixed, model=TaylorModel()
+            )
+            hit = run_sweep(mixed, cache=cache, **kwargs)
+            assert hit.from_cache
+            assert_reports_identical(hit, run_sweep(mixed, **kwargs))
+            assert c.estimated_error == float(np.max(hit.total_error))
 
     def test_population_strategy_deterministic_and_budgeted(self):
         scen = km.search_scenario(size=10, n_workloads=2)

@@ -1,5 +1,7 @@
 """Unit tests for IR nodes, builder helpers, printer, and validator."""
 
+import dataclasses
+
 import pytest
 
 from repro.ir import builder as b
@@ -54,6 +56,91 @@ class TestBuilder:
         c = b.clone(e)
         c.left.id = "y"
         assert e.left.id == "x"
+
+        # a whole error-estimating adjoint, plus a tail covering the
+        # node classes an adjoint of bs_price lacks
+        from repro.apps import blackscholes as bs
+        from repro.core.api import build_adjoint
+        from repro.core.estimation import ErrorEstimationModule
+
+        fn = build_adjoint(bs.bs_price.ir, ErrorEstimationModule())
+        i = b.name("i", DType.I64)
+        tail = [
+            N.While(
+                b.binop("<", i, b.const(3)),
+                [
+                    N.If(b.const(True), [N.Break()], []),
+                    N.ExprStmt(
+                        b.call("sin", [b.cast(DType.F32, b.index("a", i))])
+                    ),
+                ],
+            ),
+            N.For("j", b.const(0), b.const(2), b.const(1), [
+                N.PopDiscard("_t0"),
+                N.TraceAppend("tr", b.name("x")),
+            ]),
+            N.Return(b.name("x")),
+        ]
+        for line, st in enumerate(tail, start=900):
+            st.loc = line
+        tail[0].cond.loc = 901
+        fn.body.extend(tail)
+        c = b.clone(fn)
+
+        assert format_function(c) == format_function(fn)
+        assert c.meta == fn.meta and c.meta is not fn.meta
+        seen = set()
+
+        def check(x, y):
+            assert type(x) is type(y)
+            if isinstance(x, (list, tuple)):
+                assert len(x) == len(y)
+                if isinstance(x, list):
+                    assert x is not y
+                for u, v in zip(x, y):
+                    check(u, v)
+            elif isinstance(x, dict):
+                assert x is not y and list(x) == list(y)
+                for k in x:
+                    check(x[k], y[k])
+            elif type(x).__module__ == N.__name__:
+                seen.add(type(x))
+                assert x is not y
+                # dataclass == skips dtype and loc: compare every slot
+                assert list(vars(x)) == list(vars(y))
+                for k in vars(x):
+                    check(getattr(x, k), getattr(y, k))
+            else:
+                assert x == y
+
+        check(fn, c)
+        assert seen == {
+            cls
+            for cls in vars(N).values()
+            if dataclasses.is_dataclass(cls)
+            and cls.__module__ == N.__name__
+            and cls not in (N.Expr, N.Stmt)
+        }
+
+        # nothing mutable is shared, not even between non-counterparts
+        def mutable_ids(root):
+            out, todo = set(), [root]
+            while todo:
+                x = todo.pop()
+                if isinstance(x, tuple):
+                    todo.extend(x)
+                elif isinstance(x, list):
+                    out.add(id(x))
+                    todo.extend(x)
+                elif isinstance(x, dict):
+                    out.add(id(x))
+                    todo.extend(x.values())
+                elif type(x).__module__ == N.__name__:
+                    out.add(id(x))
+                    todo.extend(vars(x).values())
+            return out
+
+        assert not mutable_ids(fn) & mutable_ids(c)
 
 
 class TestPrinter:

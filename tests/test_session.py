@@ -20,12 +20,14 @@ from repro import (
 )
 from repro.apps import blackscholes as bs
 from repro.apps import kmeans as km
+from repro.apps import simpsons
 from repro.core.api import clear_estimator_memo
 from repro.core.models import AdaptModel
 from repro.frontend import kernel
 from repro.ir.types import DType
 from repro.sweep import SweepCache, random_sweep
 from repro.sweep.cache import digest_inputs
+from tests.conftest import search_fingerprint
 
 
 @kernel
@@ -187,14 +189,28 @@ class TestSharedResources:
 
 
 class TestSessionMethods:
-    def test_search_parallel_is_bit_identical(self):
-        """Acceptance: a workers=2 search matches the serial one, front
-        AND full evaluation history."""
-        scen = km.search_scenario()
-        serial = Session().search(scen, budget=6)
-        parallel = Session().search(scen, budget=6, workers=2)
+    @pytest.mark.parametrize(
+        "scen,budget",
+        [
+            (km.search_scenario(), 6),
+            (simpsons.search_scenario(size=20, n_samples=8), 8),
+        ],
+        ids=["kmeans", "simpsons"],
+    )
+    def test_search_parallel_is_bit_identical(self, scen, budget, tmp_path):
+        """Acceptance: a workers=2 search matches the serial one: front
+        AND full evaluation history (estimated-error axis included, for
+        the swept simpsons scenario), and run id."""
+        serial = scen.run(
+            session=Session(store=tmp_path / "serial"), budget=budget
+        )
+        parallel = scen.run(
+            session=Session(store=tmp_path / "parallel"),
+            budget=budget,
+            workers=2,
+        )
         assert parallel.parallel
-        assert _front_tuples(serial) == _front_tuples(parallel)
+        assert search_fingerprint(serial) == search_fingerprint(parallel)
         assert _history_tuples(serial) == _history_tuples(parallel)
 
     def test_estimate_at(self):

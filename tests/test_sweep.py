@@ -12,6 +12,7 @@ import pytest
 from repro.apps import blackscholes as bs
 from repro.apps import simpsons
 from repro.core.api import (
+    _memo_stats,
     cached_error_estimator,
     clear_estimator_memo,
 )
@@ -36,6 +37,7 @@ from repro.tuning.greedy import TuningResult, run_greedy_tune
 from repro.tuning.robust import run_robust_tune
 from repro.tuning.config import PrecisionConfig
 from repro.util.errors import ExecutionError
+from tests.conftest import assert_reports_identical
 
 
 def _bs_sweep(n, seed=11):
@@ -407,6 +409,25 @@ class TestSweepCache:
             cache=cache,
         )
         assert cache.misses == 3
+
+    def test_cache_hit_builds_no_estimator(self):
+        # the key comes from the primal IR, so a hit needs no adjoint:
+        # with the estimator memo cleared, a repeated sweep must not
+        # build (miss) one
+
+        cache = SweepCache()
+        kwargs = dict(
+            samples={"hi": np.linspace(1.0, 3.0, 12)},
+            fixed={"n": 20, "lo": 0.0},
+            model=AdaptModel(),
+            cache=cache,
+        )
+        first = run_sweep(simpsons.simpson, **kwargs)
+        clear_estimator_memo()
+        second = run_sweep(simpsons.simpson, **kwargs)
+        assert second.from_cache
+        assert _memo_stats()["misses"] == 0
+        assert_reports_identical(first, second)
 
     def test_disk_cache_survives_process_boundary(self, tmp_path):
         hi = np.linspace(1.0, 3.0, 10)
