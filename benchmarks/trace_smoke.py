@@ -8,7 +8,9 @@ out of the way:
    (:func:`repro.obs.profile.load_trace`), every parent id resolves
    (spans nest), the per-phase self-times sum to the root span's
    duration within 10% of the traced wall-clock, and the search
-   *result* is bit-identical with tracing on vs off;
+   *result* is bit-identical with tracing on vs off, and that its work
+   counters show one adjoint build per estimator build and no
+   config-batch fallback;
 2. start ``python -m repro serve --trace``, submit a tune job over
    HTTP, and assert the job's ``serve.job`` root span lands in the
    trace carrying the submission's ``X-Request-Id``;
@@ -93,6 +95,12 @@ def check_traced_search(tmp_path: Path, say) -> None:
         "tracing perturbed the search result"
     )
     assert traced.get("profile"), "traced run carries no profile"
+    # deterministic work counters: one adjoint build per estimator
+    # build (lanes derive every candidate's parameters from it), and
+    # every pool estimated on lanes
+    work = traced["stats"]["work"]
+    assert work["config_batch_fallbacks"] == 0, work
+    assert work["adjoint_builds"] == work["estimator_builds"] > 0, work
 
     records = load_trace(trace_path)  # raises on malformed lines
     assert records, "trace file is empty"

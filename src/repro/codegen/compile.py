@@ -29,8 +29,9 @@ from repro.codegen.pygen import generate_source
 from repro.interp.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.ir import nodes as N
 from repro.ir.fingerprint import ir_fingerprint
-from repro.ir.types import PROMOTION_RANK, ArrayType, DType
-from repro.ir.visitor import walk_stmts
+from repro.ir.typecheck import collect_var_dtypes
+from repro.ir.types import PROMOTION_RANK, ArrayType, DType, machine_eps
+from repro.ir.visitor import iter_stmt_exprs, walk_expr, walk_stmts
 from repro.util.errors import ExecutionError, ReproError
 
 
@@ -149,7 +150,7 @@ def compile_raw(
     exec(code, g, ns)  # noqa: S102 - compiling our own generated source
     raw = ns[fn.name]
     traces: List[str] = []
-    from repro.ir.visitor import walk_stmts
+    from repro.ir.visitor import iter_stmt_exprs, walk_expr, walk_stmts
 
     for s in walk_stmts(fn.body):
         if isinstance(s, N.TraceAppend) and s.trace not in traces:
@@ -175,31 +176,20 @@ def compile_primal(fn: N.Function, approx: Optional[Set[str]] = None) -> Compile
 # code to each configuration at *runtime*.  Lowering runs the exact
 # dtype re-inference ``apply_precision`` performs — so each lane's
 # rounding points and cycle charges match the per-config scalar path
-# bit for bit — but compiles nothing.
+# bit for bit — but compiles nothing.  :func:`lower_adjoint_pool` does
+# the same for an error-estimating adjoint: one adjoint build serves
+# every configuration of its primal.
 
 
 class ConfigLoweringError(ReproError):
     """A configuration pool cannot be lowered onto the compiled lanes.
 
-    Signals a structural/semantic limitation (e.g. a config targeting a
-    non-float variable, or a per-config adjoint whose optimized shape
-    diverged from the baseline).  Callers fall back to the per-config
-    scalar path — results are identical either way, only slower.
+    Signals a limitation of the lane form: a config targeting a
+    non-float variable, an error model that has not declared its
+    dtype-dependent constants, or a marked constant the optimiser
+    folded.  Callers fall back to the per-config scalar path — results
+    are identical either way, only slower.
     """
-
-
-def _dtype_code(dt: Optional[DType]) -> int:
-    if dt is DType.F32:
-        return 1
-    if dt is DType.F16:
-        return 2
-    return 0
-
-
-def _site_dtype(kind: str, node: object) -> Optional[DType]:
-    if kind == "param":
-        return node.type.dtype  # type: ignore[attr-defined]
-    return getattr(node, "dtype", None)
 
 
 @dataclass
@@ -220,10 +210,6 @@ def _pack_row(row: np.ndarray, k: int) -> object:
     if np.all(row == row[0]):
         return float(row[0])
     return row.reshape(k, 1).copy()
-
-
-def _pack_rows(rows: np.ndarray, k: int) -> List[object]:
-    return [_pack_row(row, k) for row in rows]
 
 
 # -- vectorized lowering -----------------------------------------------------
@@ -253,6 +239,14 @@ _SEL_MAP = np.array(
     ],
     dtype=np.int8,
 )
+#: rank code -> machine epsilon (NaN for non-float codes)
+_EPS_MAP = np.array(
+    [
+        machine_eps(dt) if dt in _FLOAT_DTYPES else np.nan
+        for dt in _CODE_ORDER
+    ],
+    dtype=np.float64,
+)
 _F64_CODE = _RANK_CODE[DType.F64]
 #: floats occupy the top of the promotion order; ``code >= _FLOAT_MIN``
 #: is the vectorized ``is_float`` test (checked here so a lattice
@@ -264,22 +258,30 @@ assert all(
 )
 
 
-class _LoweringPlan:
-    """Per-program precomputation shared by every pool lowering."""
+class LoweringPlan:
+    """Per-function precomputation shared by every pool lowering: the
+    baseline dtype code of each variable, the names a configuration
+    can resolve to, and the optimiser's temporaries."""
 
-    def __init__(self, program: ConfigLaneProgram) -> None:
-        fn = program.fn
+    def __init__(self, fn: N.Function) -> None:
+        from repro.opt.cse import TEMP_PREFIX
+
+        self.fn_name = fn.name
         self.base_codes: Dict[str, int] = {
             name: _RANK_CODE[dt]
-            for name, dt in program.var_baseline.items()
+            for name, dt in collect_var_dtypes(fn).items()
         }
+        decls = [
+            s for s in walk_stmts(fn.body) if isinstance(s, N.VarDecl)
+        ]
+        #: CSE temporaries in program order (each typed by its
+        #: initialiser, which may read earlier ones)
+        self.temps = [
+            s for s in decls if s.name.startswith(TEMP_PREFIX)
+        ]
         #: resolvable names in the order resolve_targets scans them,
         #: each with its set of inlined-prefix keys that can match it
-        names = [p.name for p in fn.params] + [
-            s.name
-            for s in walk_stmts(fn.body)
-            if isinstance(s, N.VarDecl)
-        ]
+        names = [p.name for p in fn.params] + [s.name for s in decls]
         self.name_match: List[Tuple[str, frozenset]] = []
         seen = set()
         for name in names:
@@ -294,17 +296,15 @@ class _LoweringPlan:
             self.name_match.append((name, prefixes))
 
 
-def _plan_for(program: ConfigLaneProgram) -> _LoweringPlan:
+def _plan_for(program: ConfigLaneProgram) -> LoweringPlan:
     plan = getattr(program, "_plan", None)
     if plan is None:
-        plan = _LoweringPlan(program)
+        plan = LoweringPlan(program.fn)
         program._plan = plan  # type: ignore[attr-defined]
     return plan
 
 
-def _fast_targets(
-    plan: _LoweringPlan, fn_name: str, config
-) -> Dict[str, DType]:
+def _fast_targets(plan: LoweringPlan, config) -> Dict[str, DType]:
     """Vector-lowering twin of ``tuning.config.resolve_targets``.
 
     Same semantics (exact keys win over inlined-prefix matches, first
@@ -329,10 +329,37 @@ def _fast_targets(
     missing = set(demotions) - matched
     if missing:
         raise KeyError(
-            f"{fn_name}: unknown variables in precision config: "
+            f"{plan.fn_name}: unknown variables in precision config: "
             f"{sorted(missing)}"
         )
     return out
+
+
+def _demote(
+    env: Dict[str, object], plan: LoweringPlan, configs: Sequence[object]
+) -> None:
+    """Give each configuration's lane of ``env`` its demoted codes.
+
+    Names resolve against ``plan``'s function; a resolved name that
+    ``env`` does not hold (no storage in the lowered program) is
+    skipped.
+    """
+    k = len(configs)
+    for j, config in enumerate(configs):
+        targets = _fast_targets(plan, config)
+        for name, dt in targets.items():
+            if plan.base_codes[name] < _FLOAT_MIN:
+                raise ConfigLoweringError(
+                    f"{plan.fn_name}: config targets non-float "
+                    f"variable {name!r}"
+                )
+            cur = env.get(name)
+            if cur is None:
+                continue
+            if isinstance(cur, int):
+                cur = np.full(k, cur, dtype=np.int64)
+                env[name] = cur
+            cur[j] = _RANK_CODE[dt]
 
 
 class _PoolEval:
@@ -414,11 +441,9 @@ class _PoolEval:
     def _expr(self, e: N.Expr) -> Tuple[object, object]:
         cm = self.cm
         if isinstance(e, N.Const):
-            if isinstance(e.value, bool):
-                return 0, 0.0
-            if isinstance(e.value, int):
-                return 1, 0.0
-            return _F64_CODE, 0.0
+            # constants keep the dtype they were built with (type
+            # inference never re-types them)
+            return _RANK_CODE[e.dtype], 0.0
         if isinstance(e, N.Name):
             return self.env[e.id], 0.0
         if isinstance(e, N.Index):
@@ -480,6 +505,32 @@ class _PoolEval:
         return c + self._cast_term(value_codes, tdt, self.cm.cast)
 
 
+def _selectors(
+    program: ConfigLaneProgram,
+    env: Dict[str, object],
+    ev: _PoolEval,
+    k: int,
+) -> List[object]:
+    """Per round site: ``None`` (no lane rounds) or its lane selector."""
+    selectors: List[object] = []
+    for site in program.round_sites:
+        if site.kind in ("expr", "index"):
+            codes, _ = ev.expr(site.node)  # type: ignore[arg-type]
+        elif site.kind == "store":
+            node = site.node
+            name = node.base if isinstance(node, N.Index) else node.id  # type: ignore[union-attr]
+            codes = env[name]
+        else:  # "decl", "param"
+            codes = env[site.node.name]  # type: ignore[attr-defined]
+        if isinstance(codes, int):
+            if _SEL_MAP[codes] == 0:
+                selectors.append(None)
+                continue
+            codes = np.full(k, codes)
+        selectors.append(runtime.LaneSelector.from_codes(_SEL_MAP[codes]))
+    return selectors
+
+
 def lower_config_pool(
     program: ConfigLaneProgram,
     configs: Sequence[object],
@@ -505,49 +556,9 @@ def lower_config_pool(
     if k == 0:
         raise ValueError("empty configuration pool")
     plan = _plan_for(program)
-    fn = program.fn
     env: Dict[str, object] = dict(plan.base_codes)
-    for j, config in enumerate(configs):
-        targets = _fast_targets(plan, fn.name, config)
-        for name, dt in targets.items():
-            base = plan.base_codes[name]
-            if base < _FLOAT_MIN:
-                raise ConfigLoweringError(
-                    f"{fn.name}: config targets non-float "
-                    f"variable {name!r}"
-                )
-            cur = env[name]
-            if isinstance(cur, int):
-                cur = np.full(k, cur, dtype=np.int64)
-                env[name] = cur
-            cur[j] = _RANK_CODE[dt]
-
+    _demote(env, plan, configs)
     ev = _PoolEval(env, cost_model, approx)
-
-    def sel_codes(codes: object) -> np.ndarray:
-        if isinstance(codes, int):
-            return np.full(k, _SEL_MAP[codes], dtype=np.int8)
-        return _SEL_MAP[codes]
-
-    selectors: List[object] = []
-    for site in program.round_sites:
-        if site.kind in ("expr", "index"):
-            codes, _ = ev.expr(site.node)  # type: ignore[arg-type]
-        elif site.kind == "store":
-            node = site.node
-            name = node.base if isinstance(node, N.Index) else node.id  # type: ignore[union-attr]
-            codes = env[name]
-        elif site.kind == "decl":
-            codes = env[site.node.name]  # type: ignore[attr-defined]
-        else:  # "param"
-            codes = env[site.node.name]  # type: ignore[attr-defined]
-        if isinstance(codes, int) and _SEL_MAP[codes] == 0:
-            selectors.append(None)
-        else:
-            selectors.append(
-                runtime.LaneSelector.from_codes(sel_codes(codes))
-            )
-
     charges: List[object] = []
     for site in program.charge_sites:
         s = site.node
@@ -577,191 +588,81 @@ def lower_config_pool(
         float(c.value) for c in program.const_sites  # type: ignore[union-attr]
     ]
     return LoweredConfigPool(
-        k=k, selectors=selectors, charges=charges, consts=consts
+        k=k,
+        selectors=_selectors(program, env, ev, k),
+        charges=charges,
+        consts=consts,
     )
 
 
-# -- structural pairing (used to lower pools onto *derived* functions) ------
-
-
-def _pair_fail(what: str) -> "ConfigLoweringError":
-    return ConfigLoweringError(
-        f"variant function structure diverged from baseline ({what})"
-    )
-
-
-def _pair_expr(a: N.Expr, b: N.Expr, out: Dict[int, object]) -> None:
-    if type(a) is not type(b):
-        raise _pair_fail(f"{type(a).__name__} vs {type(b).__name__}")
-    out[id(a)] = b
-    if isinstance(a, N.Const):
-        if type(a.value) is not type(b.value):  # type: ignore[union-attr]
-            raise _pair_fail("constant kind")
-        if not isinstance(a.value, float) and a.value != b.value:  # type: ignore[union-attr]
-            # non-float constants are inlined in the generated source,
-            # so a value change cannot be expressed as a lane parameter
-            raise _pair_fail("non-float constant value")
-    elif isinstance(a, N.Name):
-        if a.id != b.id:  # type: ignore[union-attr]
-            raise _pair_fail("name")
-    elif isinstance(a, N.Index):
-        if a.base != b.base:  # type: ignore[union-attr]
-            raise _pair_fail("index base")
-        _pair_expr(a.index, b.index, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.BinOp):
-        if a.op != b.op:  # type: ignore[union-attr]
-            raise _pair_fail("operator")
-        _pair_expr(a.left, b.left, out)  # type: ignore[union-attr]
-        _pair_expr(a.right, b.right, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.UnaryOp):
-        if a.op != b.op:  # type: ignore[union-attr]
-            raise _pair_fail("operator")
-        _pair_expr(a.operand, b.operand, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.Call):
-        if a.fn != b.fn or len(a.args) != len(b.args):  # type: ignore[union-attr]
-            raise _pair_fail("call")
-        for xa, xb in zip(a.args, b.args):  # type: ignore[union-attr]
-            _pair_expr(xa, xb, out)
-    elif isinstance(a, N.Cast):
-        if a.to is not b.to:  # type: ignore[union-attr]
-            raise _pair_fail("cast target")
-        _pair_expr(a.operand, b.operand, out)  # type: ignore[union-attr]
-
-
-def _pair_lvalue(a: N.LValue, b: N.LValue, out: Dict[int, object]) -> None:
-    if type(a) is not type(b):
-        raise _pair_fail("lvalue kind")
-    out[id(a)] = b
-    if isinstance(a, N.Name):
-        if a.id != b.id:  # type: ignore[union-attr]
-            raise _pair_fail("store target")
-    else:
-        if a.base != b.base:  # type: ignore[union-attr]
-            raise _pair_fail("store base")
-        _pair_expr(a.index, b.index, out)  # type: ignore[union-attr]
-
-
-def _pair_stmt(a: N.Stmt, b: N.Stmt, out: Dict[int, object]) -> None:
-    if type(a) is not type(b):
-        raise _pair_fail(f"{type(a).__name__} vs {type(b).__name__}")
-    out[id(a)] = b
-    if isinstance(a, N.VarDecl):
-        if a.name != b.name:  # type: ignore[union-attr]
-            raise _pair_fail("decl name")
-        if (a.init is None) != (b.init is None):  # type: ignore[union-attr]
-            raise _pair_fail("decl initializer")
-        if a.init is not None:
-            _pair_expr(a.init, b.init, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.Assign):
-        _pair_lvalue(a.target, b.target, out)  # type: ignore[union-attr]
-        _pair_expr(a.value, b.value, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.For):
-        if a.var != b.var:  # type: ignore[union-attr]
-            raise _pair_fail("loop variable")
-        _pair_expr(a.lo, b.lo, out)  # type: ignore[union-attr]
-        _pair_expr(a.hi, b.hi, out)  # type: ignore[union-attr]
-        _pair_expr(a.step, b.step, out)  # type: ignore[union-attr]
-        _pair_body(a.body, b.body, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.While):
-        _pair_expr(a.cond, b.cond, out)  # type: ignore[union-attr]
-        _pair_body(a.body, b.body, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.If):
-        _pair_expr(a.cond, b.cond, out)  # type: ignore[union-attr]
-        _pair_body(a.then, b.then, out)  # type: ignore[union-attr]
-        _pair_body(a.orelse, b.orelse, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.Return):
-        _pair_expr(a.value, b.value, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.ReturnTuple):
-        if len(a.values) != len(b.values):  # type: ignore[union-attr]
-            raise _pair_fail("return arity")
-        for xa, xb in zip(a.values, b.values):  # type: ignore[union-attr]
-            _pair_expr(xa, xb, out)
-    elif isinstance(a, N.ExprStmt):
-        _pair_expr(a.value, b.value, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.Push):
-        if a.stack != b.stack:  # type: ignore[union-attr]
-            raise _pair_fail("stack")
-        _pair_expr(a.value, b.value, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.Pop):
-        if a.stack != b.stack:  # type: ignore[union-attr]
-            raise _pair_fail("stack")
-        _pair_lvalue(a.target, b.target, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.PopDiscard):
-        if a.stack != b.stack:  # type: ignore[union-attr]
-            raise _pair_fail("stack")
-    elif isinstance(a, N.TraceAppend):
-        if a.trace != b.trace:  # type: ignore[union-attr]
-            raise _pair_fail("trace")
-        _pair_expr(a.value, b.value, out)  # type: ignore[union-attr]
-
-
-def _pair_body(
-    xs: Sequence[N.Stmt], ys: Sequence[N.Stmt], out: Dict[int, object]
-) -> None:
-    if len(xs) != len(ys):
-        raise _pair_fail("body length")
-    for a, b in zip(xs, ys):
-        _pair_stmt(a, b, out)
-
-
-def pair_functions(a: N.Function, b: N.Function) -> Dict[int, object]:
-    """Map ``id(node) -> node`` between two structurally equal functions.
-
-    Constants may differ in (float) value and every node may differ in
-    dtype annotations — that is the whole point: ``b`` is typically a
-    per-config derivation of ``a`` (a demoted clone, or the adjoint of a
-    demoted primal) whose lane parameters we want to read off.
-
-    :raises ConfigLoweringError: on any structural divergence.
-    """
-    if len(a.params) != len(b.params):
-        raise _pair_fail("parameter count")
-    out: Dict[int, object] = {}
-    for pa, pb in zip(a.params, b.params):
-        if pa.name != pb.name:
-            raise _pair_fail("parameter name")
-        out[id(pa)] = pb
-    _pair_body(a.body, b.body, out)
-    return out
-
-
-def lower_config_pool_zip(
+def lower_adjoint_pool(
     program: ConfigLaneProgram,
-    variants: Sequence[N.Function],
+    primal: LoweringPlan,
+    configs: Sequence[object],
 ) -> LoweredConfigPool:
-    """Lower a pool by pairing the program against per-config *derived*
-    functions (e.g. adjoints regenerated from demoted primals).
+    """Lane parameters of an error-estimating adjoint for K configs.
 
-    Used when the per-config function cannot be produced by dtype
-    re-assignment alone; each variant must be structurally identical to
-    the program's baseline function (verified node by node).  Charge
-    sites are not supported — counting code goes through
-    :func:`lower_config_pool`.
+    ``program`` renders the adjoint of ``primal``'s function; each lane
+    gets the parameters ``build_adjoint(apply_precision(primal,
+    config))`` would bake in, derived without building anything:
+
+    * a config's names resolve against the *primal* (the
+      ``resolve_targets`` rule and ``KeyError``) and set the lane dtype
+      of the adjoint's copies of those variables; the adjoint's own
+      variables are precision-independent, except the optimiser's CSE
+      temporaries, typed by their initialisers in program order;
+    * both build steps re-run type inference, so every expression
+      dtype — and hence every rounding selector — follows from the
+      variable dtypes through the lattice :func:`lower_config_pool`
+      evaluates;
+    * constants an error model marks (``Const.eps_of``) are the machine
+      epsilon of their variable's lane dtype; every other constant is
+      the same in every configuration.
+
+    ``lower_adjoint_pool_reference`` in ``tests/test_config_batch.py``
+    (per-config rebuilt adjoints, paired node by node) is the oracle.
+
+    :raises KeyError: if a configuration names unknown variables.
+    :raises ConfigLoweringError: for a non-float target, a counting
+        program, or a marked constant that is not the machine epsilon
+        of a variable of the adjoint (e.g. one the optimiser folded).
     """
+    k = len(configs)
+    if k == 0:
+        raise ValueError("empty configuration pool")
     if program.charge_sites:
         raise ConfigLoweringError(
-            "zip lowering does not support counting programs"
+            f"{program.fn.name}: counting adjoints are not lowered"
         )
-    k = len(variants)
-    if k == 0:
-        raise ValueError("empty variant pool")
-    rs = np.zeros((len(program.round_sites), k), dtype=np.int8)
-    cs = np.zeros((len(program.const_sites), k), dtype=np.float64)
-    for j, var_fn in enumerate(variants):
-        mapping = pair_functions(program.fn, var_fn)
-        for i, site in enumerate(program.round_sites):
-            node = mapping[id(site.node)]
-            rs[i, j] = _dtype_code(_site_dtype(site.kind, node))
-        for i, cnode in enumerate(program.const_sites):
-            cs[i, j] = mapping[id(cnode)].value  # type: ignore[attr-defined]
+    plan = _plan_for(program)
+    env: Dict[str, object] = dict(plan.base_codes)
+    _demote(env, primal, configs)
+    ev = _PoolEval(env, DEFAULT_COST_MODEL, None)
+    for decl in plan.temps:
+        env[decl.name] = ev.expr(decl.init)[0]  # type: ignore[arg-type]
+    consts: List[object] = []
+    for c in program.const_sites:
+        var = c.eps_of
+        if var is None:
+            consts.append(float(c.value))
+            continue
+        base = plan.base_codes.get(var)
+        if base is None or c.value != _EPS_MAP[base]:
+            raise ConfigLoweringError(
+                f"{program.fn.name}: constant {c.value!r} marked "
+                f"{var!r} is not that variable's machine epsilon"
+            )
+        codes = env[var]
+        consts.append(
+            float(_EPS_MAP[codes])
+            if isinstance(codes, int)
+            else _pack_row(_EPS_MAP[codes], k)
+        )
     return LoweredConfigPool(
         k=k,
-        selectors=[
-            runtime.LaneSelector.from_codes(rs[i])
-            for i in range(len(program.round_sites))
-        ],
+        selectors=_selectors(program, env, ev, k),
         charges=[],
-        consts=_pack_rows(cs, k),
+        consts=consts,
     )
 
 
@@ -803,7 +704,9 @@ class ConfigLaneKernel:
 #: *configuration* is not part of the key — configurations are runtime
 #: lane parameters — but anything that changes the generated code is:
 #: the IR content, the batched-input set, counting, the execution mode,
-#: and the approx-intrinsic set (baked into the runtime bindings).
+#: and the approx-intrinsic set (baked into the runtime bindings).  So
+#: are the constant markers (:func:`_eps_marks`), which the fingerprint
+#: leaves out but adjoint lowering reads off the kernel's program.
 _CONFIG_KERNEL_MEMO: "OrderedDict[tuple, ConfigLaneKernel]" = OrderedDict()
 _CONFIG_KERNEL_MEMO_MAX = 32
 # hit/miss/unvectorizable counts live in the process-wide metrics
@@ -835,6 +738,17 @@ _CK_COMPILE_SECONDS = obs_metrics.REGISTRY.histogram(
 _CONFIG_KERNEL_LOCK = threading.RLock()
 
 
+def _eps_marks(fn: N.Function) -> tuple:
+    """``Const.eps_of`` of every float constant of ``fn``, in order."""
+    return tuple(
+        n.eps_of
+        for s in walk_stmts(fn.body)
+        for e in iter_stmt_exprs(s)
+        for n in walk_expr(e)
+        if isinstance(n, N.Const) and isinstance(n.value, float)
+    )
+
+
 def config_lane_kernel(
     fn: N.Function,
     batched: Set[str] = frozenset(),
@@ -862,6 +776,7 @@ def config_lane_kernel(
         if use_cache and extra_bindings is None:
             key = (
                 ir_fingerprint(fn),
+                _eps_marks(fn),
                 frozenset(batched),
                 counting,
                 allow_arrays,

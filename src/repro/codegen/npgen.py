@@ -472,15 +472,18 @@ class _BatchGen:
 # bit for bit, the operations the per-config scalar code would.  Cycle
 # accounting becomes runtime too: every statement pygen would charge a
 # (dtype-dependent) constant for charges a per-lane vector ``_ch[i]``
-# instead, and float constants are passed through ``_cs`` so adjoint
-# variants whose constants depend on storage precision (machine-epsilon
-# factors in error models) can share the same compiled code.
+# instead, and float constants are passed through ``_cs`` so constants
+# that depend on storage precision (the machine-epsilon factors error
+# models mark with ``Const.eps_of``) take each lane's value at runtime.
 #
 # The selector/charge/constant vectors for a concrete pool of configs
 # are derived by :func:`repro.codegen.compile.lower_config_pool`, which
 # runs the *same* dtype re-inference the scalar path's
 # ``apply_precision`` uses — that, plus the shared numpy runtime of the
-# input-sweep engine, is what makes the lanes bit-identical.
+# input-sweep engine, is what makes the lanes bit-identical.  For an
+# error-estimating adjoint, ``lower_adjoint_pool`` (same module) derives
+# them from the *primal* configuration's dtypes, so one adjoint build
+# serves every configuration.
 
 
 @dataclass

@@ -30,7 +30,11 @@ from repro.ir import nodes as N
 from repro.util.errors import ExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sweep.batch import BatchReport, ConfigBatchReport
+    from repro.sweep.batch import (
+        BatchReport,
+        ConfigBatchedEstimator,
+        ConfigBatchReport,
+    )
 
 KernelLike = Union[Kernel, N.Function]
 
@@ -49,11 +53,12 @@ def build_adjoint(
 ) -> N.Function:
     """Reverse-mode transform + optimization pipeline, no compilation.
 
-    The IR half of estimator construction, shared by the compiled
-    scalar path (:class:`_AdjointRunner`) and the config-batched
-    estimator, which regenerates per-config adjoints only to read their
-    lane parameters off.
+    The IR half of estimator construction (:class:`_AdjointRunner`).
+    Called once per estimator: the config-batched estimator derives
+    every configuration's lane parameters from this one adjoint
+    instead of rebuilding it per configuration.
     """
+    _ADJOINT_BUILDS.inc()
     transformer = ReverseModeTransformer(
         primal, extension=extension, minimal_pushes=minimal_pushes
     )
@@ -283,11 +288,17 @@ class ErrorEstimator:
         per-config fallback where the kernel (or a config) cannot be
         expressed as lane parameters.
         """
+        return self.config_batched.execute(configs, *args)
+
+    @property
+    def config_batched(self) -> "ConfigBatchedEstimator":
+        """The :class:`~repro.sweep.ConfigBatchedEstimator` behind
+        :meth:`execute_config_batch` (built on first use)."""
         if self._config_batched is None:
             from repro.sweep.batch import ConfigBatchedEstimator
 
             self._config_batched = ConfigBatchedEstimator(self)
-        return self._config_batched.execute(configs, *args)
+        return self._config_batched
 
 
 def gradient(k: KernelLike, **kwargs: object) -> Gradient:
@@ -339,6 +350,10 @@ _MEMO_CAPACITY = obs_metrics.REGISTRY.gauge(
 _MEMO_CAPACITY.set(_ESTIMATOR_MEMO_MAX)
 _BUILD_SECONDS = obs_metrics.REGISTRY.histogram(
     "repro_estimate_build_seconds", "adjoint build+compile latency"
+)
+_ADJOINT_BUILDS = obs_metrics.REGISTRY.counter(
+    "repro_adjoint_builds_total",
+    "adjoint IR builds (reverse-mode transform + optimization)",
 )
 #: guards the memo and its counters: long-lived servers (repro.serve)
 #: share one process-wide memo across concurrent worker threads, and
@@ -447,6 +462,20 @@ def _memo_stats() -> Dict[str, int]:
             "hits": _MEMO_HITS.value,
             "misses": _MEMO_MISSES.value,
         }
+
+
+def _work_stats() -> Dict[str, int]:
+    """Process-cumulative build-side work counters (behind
+    ``Session.stats()["work"]``): adjoint builds, estimator builds
+    (adjoint build + compile) and config-batched estimates that fell
+    back to one estimator per configuration."""
+    from repro.sweep.batch import _CB_FALLBACKS
+
+    return {
+        "adjoint_builds": _ADJOINT_BUILDS.value,
+        "estimator_builds": int(_BUILD_SECONDS.snapshot()["count"]),
+        "config_batch_fallbacks": _CB_FALLBACKS.value,
+    }
 
 
 def clear_estimator_memo() -> None:

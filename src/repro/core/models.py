@@ -38,6 +38,15 @@ def _target_name(target: N.LValue) -> str:
     return target.id if isinstance(target, N.Name) else target.base
 
 
+def eps_const(var: str, dt: DType) -> N.Const:
+    """``machine_eps(dt)`` as a constant marked with the variable whose
+    storage precision ``dt`` is (see :attr:`ErrorModel.marks_dtype_constants`).
+    """
+    c = b.const(machine_eps(dt))
+    c.eps_of = var
+    return c
+
+
 def _target_read(target: N.LValue) -> N.Expr:
     if isinstance(target, N.Name):
         return b.name(target.id, target.dtype or DType.F64)
@@ -55,6 +64,13 @@ class ErrorModel:
     #: calls/processes — models closing over arbitrary Python callables
     #: (:class:`ExternalModel`) must opt out
     cacheable = True
+
+    #: whether every float constant this model emits whose value depends
+    #: on a variable's storage precision is built with :func:`eps_const`.
+    #: Config-batched estimation derives the marked constants per
+    #: configuration from one adjoint; a model that leaves this False is
+    #: estimated one configuration at a time (same numbers, slower)
+    marks_dtype_constants = False
 
     def fingerprint(self) -> str:
         """Stable identity string for result caching and estimator reuse.
@@ -128,6 +144,8 @@ class TaylorModel(ErrorModel):
 
     name = "taylor"
 
+    marks_dtype_constants = True
+
     def __init__(self, precision: Optional[DType] = None) -> None:
         #: override: estimate as if every variable were stored at this
         #: precision (useful to ask "what if everything were f32?")
@@ -141,12 +159,12 @@ class TaylorModel(ErrorModel):
         dt = target.dtype or DType.F64
         if not dt.is_float:
             return None
-        eps = machine_eps(self.precision or dt)
+        if self.precision is not None:
+            eps = b.const(machine_eps(self.precision))
+        else:
+            eps = eps_const(_target_name(target), dt)
         return b.fabs(
-            b.mul(
-                b.const(eps),
-                b.mul(_target_read(target), b.clone(adjoint)),
-            )
+            b.mul(eps, b.mul(_target_read(target), b.clone(adjoint)))
         )
 
     def input_error(self, name, value, adjoint):
@@ -175,6 +193,9 @@ class AdaptModel(ErrorModel):
     """
 
     name = "adapt"
+
+    #: no constant depends on a storage precision
+    marks_dtype_constants = True
 
     def __init__(self, demote_to: DType = DType.F32) -> None:
         self.demote_to = demote_to
@@ -266,6 +287,13 @@ class ApproxModel(ErrorModel):
     def cacheable(self) -> bool:  # type: ignore[override]
         return self.fallthrough is None or self.fallthrough.cacheable
 
+    @property
+    def marks_dtype_constants(self) -> bool:  # type: ignore[override]
+        return (
+            self.fallthrough is None
+            or self.fallthrough.marks_dtype_constants
+        )
+
     def fingerprint(self) -> str:
         m = ",".join(f"{v}={f}" for v, f in sorted(self.var_to_fn.items()))
         ft = self.fallthrough.fingerprint() if self.fallthrough else "-"
@@ -348,6 +376,9 @@ class CenaModel(ErrorModel):
     """
 
     name = "cena"
+
+    #: no constant depends on a storage precision
+    marks_dtype_constants = True
 
     _SATURATE = 1e300
 

@@ -42,6 +42,11 @@ class Const(Expr):
     """A literal constant (float, int, or bool)."""
 
     value: Union[float, int, bool]
+    #: set when the value is the machine epsilon of a variable's storage
+    #: precision: the name of that variable (error models mark these, so
+    #: config lanes can re-derive the value per configuration).  Never
+    #: printed, so fingerprints ignore it.
+    eps_of: Optional[str] = field(default=None, init=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.value, bool):

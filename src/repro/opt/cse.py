@@ -22,6 +22,9 @@ from repro.ir.printer import format_expr
 from repro.ir.types import DType
 from repro.ir.visitor import walk_expr
 
+#: name prefix of the temporaries this pass declares
+TEMP_PREFIX = "_cse"
+
 
 def _expr_vars(e: N.Expr) -> Set[str]:
     out: Set[str] = set()
@@ -118,7 +121,7 @@ class _BlockCSE:
                     if _expr_vars(call) & written:
                         continue
                     self.counter[0] += 1
-                    t = f"_cse{self.counter[0]}"
+                    t = f"{TEMP_PREFIX}{self.counter[0]}"
                     temp_of[key] = t
                     decl = N.VarDecl(
                         t, call.dtype or DType.F64, b.clone(call)

@@ -12,6 +12,14 @@ Rewrites (value-preserving on finite inputs; exprs in this IR are pure):
 
 The adjoint generator leans on this heavily: seeds multiplied by unit
 partials produce long ``_t * 1.0`` chains that fold away.
+
+Machine-epsilon constants marked by error models (``Const.eps_of``)
+take a different value in every precision configuration.  The
+rewrites whose outcome would change the program's shape (identities,
+comparisons) never fire on them, and a constant folded from one is
+marked :data:`FOLDED_EPS`, which names no variable: the config-lane
+lowering refuses it and estimates such adjoints one configuration at a
+time.
 """
 
 from __future__ import annotations
@@ -30,9 +38,22 @@ def _const_value(e: N.Expr) -> Optional[float]:
     return None
 
 
+#: ``eps_of`` of a constant folded from a machine-epsilon constant
+FOLDED_EPS = "<folded>"
+
+
 def _is_const(e: N.Expr, v: float) -> bool:
     c = _const_value(e)
-    return c is not None and float(c) == v
+    return c is not None and e.eps_of is None and float(c) == v
+
+
+def _folded(value, dtype, *sources: N.Expr) -> N.Const:
+    """A folded constant, marked if any source was a marked one."""
+    c = b.const(value)
+    c.dtype = dtype
+    if any(s.eps_of is not None for s in sources):
+        c.eps_of = FOLDED_EPS
+    return c
 
 
 class _Folder(Transformer):
@@ -55,10 +76,14 @@ class _Folder(Transformer):
                 folded = _apply(op, lv, rv)
             except (ZeroDivisionError, OverflowError):
                 return e
-            c = b.const(folded)
-            c.dtype = e.dtype
-            return self._mark(c, e)
-        if lv is not None and rv is not None and op in N.CMPOPS:
+            return self._mark(_folded(folded, e.dtype, e.left, e.right), e)
+        if (
+            lv is not None
+            and rv is not None
+            and op in N.CMPOPS
+            and e.left.eps_of is None
+            and e.right.eps_of is None
+        ):
             c = b.const(bool(_apply_cmp(op, lv, rv)))
             return self._mark(c, e)
         if op == "*":
@@ -90,9 +115,7 @@ class _Folder(Transformer):
         if e.op == "-":
             cv = _const_value(e.operand)
             if cv is not None:
-                c = b.const(-cv)
-                c.dtype = e.dtype
-                return self._mark(c, e)
+                return self._mark(_folded(-cv, e.dtype, e.operand), e)
             if isinstance(e.operand, N.UnaryOp) and e.operand.op == "-":
                 return self._mark(e.operand.operand, e)
         return e
@@ -102,9 +125,7 @@ class _Folder(Transformer):
         if e.fn == "fabs":
             cv = _const_value(e.args[0])
             if cv is not None:
-                c = b.const(abs(cv))
-                c.dtype = e.dtype
-                return self._mark(c, e)
+                return self._mark(_folded(abs(cv), e.dtype, e.args[0]), e)
             inner = e.args[0]
             if isinstance(inner, N.Call) and inner.fn == "fabs":
                 return self._mark(inner, e)
@@ -118,8 +139,7 @@ class _Folder(Transformer):
         e.operand = self.visit(e.operand)
         cv = _const_value(e.operand)
         if cv is not None and e.to.is_float:
-            c = b.const(float(round_to(float(cv), e.to)))
-            c.dtype = e.to
+            c = _folded(float(round_to(float(cv), e.to)), e.to, e.operand)
             return self._mark(c, e)
         return e
 

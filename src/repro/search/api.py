@@ -556,6 +556,7 @@ def run_search(
     if ev_cls is ParallelEvaluator:
         ev_kwargs["workers"] = int(workers)
     from repro.codegen.compile import _cache_stats
+    from repro.core.api import _work_stats
 
     evaluator = ev_cls(fn, points, **ev_kwargs)
     n_checkpoints = 0
@@ -579,6 +580,7 @@ def run_search(
 
         evaluator.checkpoint = _on_computed
     kernel_cache_before = _cache_stats()
+    work_before = _work_stats()
     obs_metrics.REGISTRY.counter(
         "repro_search_runs_total", "precision searches driven"
     ).inc()
@@ -663,8 +665,8 @@ def run_search(
             parallel = bool(getattr(evaluator, "parallel", False))
             from repro.core.api import _memo_stats
 
-            # hit/miss counters are process-cumulative: report this
-            # run's deltas (entries/capacity stay gauges)
+            # hit/miss and work counters are process-cumulative: report
+            # this run's deltas (entries/capacity stay gauges)
             kernel_cache = dict(_cache_stats())
             for counter in ("hits", "misses", "unvectorizable"):
                 kernel_cache[counter] -= kernel_cache_before[counter]
@@ -672,6 +674,9 @@ def run_search(
                 "evaluator": evaluator.eval_stats(),
                 "estimator_memo": _memo_stats(),
                 "config_kernel_cache": kernel_cache,
+                "work": {
+                    k: v - work_before[k] for k, v in _work_stats().items()
+                },
             }
             if sweep_cache is not None:
                 stats["sweep_cache"] = sweep_cache.cache_stats()

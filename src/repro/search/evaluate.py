@@ -241,9 +241,16 @@ class CandidateEvaluator:
         if self.samples is not None:
             # prewarm: the reference adjoint goes into the estimator memo
             # pre-fork (pool estimates run on it; a sweep-cache hit
-            # below would not build it), then the reference estimate
+            # below would not build it) with its config-lane kernel
+            # compiled, then the reference estimate
             if self.estimate_model.cacheable:
-                cached_error_estimator(self.fn, model=self.estimate_model)
+                est = cached_error_estimator(
+                    self.fn, model=self.estimate_model
+                )
+                if self.config_batch:
+                    est.config_batched.prepare(
+                        *build_args(self.fn, self.samples, self.fixed)
+                    )
             run_sweep(
                 self.fn,
                 samples=self.samples,

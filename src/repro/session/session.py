@@ -804,12 +804,14 @@ class Session:
         instruments ``/v1/metrics?format=prom`` exposes when serving.
         """
         from repro.codegen.compile import _cache_stats
+        from repro.core.api import _work_stats
 
         out: Dict[str, object] = {
             "session_id": self.id,
             "config_fingerprint": self.config.fingerprint(),
             "estimator_memo": self.estimator_memo_stats(),
             "config_kernel_cache": dict(_cache_stats()),
+            "work": _work_stats(),
         }
         if self._cache is not None:
             out["sweep_cache"] = self._cache.cache_stats()

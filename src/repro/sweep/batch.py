@@ -31,10 +31,18 @@ from repro.codegen.npgen import UnvectorizableError, generate_batch_source
 from repro.core.report import ErrorReport
 from repro.ir import nodes as N
 from repro.ir.types import ArrayType, DType
+from repro.obs import metrics as obs_metrics
 from repro.util.errors import ExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.api import ErrorEstimator
+
+#: config-batched estimates that ran one estimator per configuration
+#: (the ``loop`` backend) instead of on lanes
+_CB_FALLBACKS = obs_metrics.REGISTRY.counter(
+    "repro_config_batch_fallbacks_total",
+    "config-batched estimates computed per configuration (loop backend)",
+)
 
 
 @dataclass
@@ -424,13 +432,14 @@ class ConfigBatchedEstimator:
     """Config-batch execution façade over one :class:`ErrorEstimator`.
 
     The vectorized backend renders the estimator's *baseline* adjoint
-    once in precision-parameterized (config-lane) form; per pool it
-    regenerates each configuration's adjoint IR (transform + optimize,
-    **no compilation**), pairs it structurally against the baseline,
-    and reads the per-lane rounding selectors and constants (machine-
-    epsilon factors etc.) off the paired nodes.  One numpy execution
-    then covers all K configurations × N input points.  Pools or
-    kernels the lane form cannot express fall back to one
+    once in precision-parameterized (config-lane) form.  Per pool it
+    derives each configuration's lane parameters — rounding selectors
+    and the error model's machine-epsilon constants — from the
+    configuration's variable dtypes
+    (:func:`~repro.codegen.compile.lower_adjoint_pool`): no adjoint is
+    rebuilt, so K configurations cost one build plus one numpy
+    execution over all K configurations × N input points.  Kernels,
+    models or pools the lane form cannot express fall back to one
     (memoized-compile) estimator per configuration — same numbers,
     just slower.
     """
@@ -439,17 +448,30 @@ class ConfigBatchedEstimator:
         self.est = est
         # frozenset(batched param names) -> ConfigLaneKernel | None
         self._kernels: Dict[frozenset, Optional[object]] = {}
+        # name-resolution plan of the primal (built on first lowering)
+        self._primal_plan = None
 
     # -- kernel compilation (once per batched-set) --------------------------
     def _kernel(self, batched: frozenset):
+        """The lane kernel for a swept-parameter set, or ``None`` when
+        the estimator cannot run on lanes (traces, uncacheable models,
+        array parameters, unvectorizable structure)."""
+        est = self.est
+        if (
+            est._runner.compiled.traces
+            or not est.module.model.cacheable
+            or any(
+                isinstance(p.type, ArrayType) for p in est.primal_ir.params
+            )
+        ):
+            return None
         if batched not in self._kernels:
-            from repro.codegen import runtime
             from repro.codegen.compile import config_lane_kernel
             from repro.codegen.npgen import UnvectorizableError
 
-            adj = self.est.adjoint_ir
+            adj = est.adjoint_ir
             bindings = {}
-            for name, impl in self.est.module.bindings().items():
+            for name, impl in est.module.bindings().items():
                 bindings[name] = (
                     runtime.exactwise(impl) if callable(impl) else impl
                 )
@@ -466,31 +488,30 @@ class ConfigBatchedEstimator:
                 self._kernels[batched] = None
         return self._kernels[batched]
 
+    def prepare(self, *args: object) -> None:
+        """Compile the lane kernel for ``args``' layout (see
+        :meth:`execute`) ahead of the first pool, e.g. before forking
+        workers that should inherit it."""
+        batched, _ = _scan_sweep_args(self.est.primal_ir, args)
+        self._kernel(frozenset(batched))
+
     # -- pool lowering (per call) -------------------------------------------
     def _lower(self, kernel, configs: Sequence[object]):
-        from repro.codegen.compile import lower_config_pool_zip
-        from repro.core.api import build_adjoint
-        from repro.core.estimation import ErrorEstimationModule
-        from repro.tuning.config import apply_precision
+        from repro.codegen.compile import (
+            ConfigLoweringError,
+            LoweringPlan,
+            lower_adjoint_pool,
+        )
 
-        est = self.est
-        variants = []
-        for config in configs:
-            mixed = (
-                apply_precision(est.primal_ir, config)
-                if config
-                else est.primal_ir
+        model = self.est.module.model
+        if not model.marks_dtype_constants:
+            raise ConfigLoweringError(
+                f"error model {model.name!r} does not declare its "
+                "dtype-dependent constants"
             )
-            module = ErrorEstimationModule(model=est.module.model)
-            variants.append(
-                build_adjoint(
-                    mixed,
-                    module,
-                    opt_level=est.opt_level,
-                    minimal_pushes=est.minimal_pushes,
-                )
-            )
-        return lower_config_pool_zip(kernel.program, variants)
+        if self._primal_plan is None:
+            self._primal_plan = LoweringPlan(self.est.primal_ir)
+        return lower_adjoint_pool(kernel.program, self._primal_plan, configs)
 
     # -- execution ----------------------------------------------------------
     def execute(
@@ -498,24 +519,14 @@ class ConfigBatchedEstimator:
     ) -> ConfigBatchReport:
         from repro.codegen.compile import ConfigLoweringError
 
-        est = self.est
-        primal = est.primal_ir
+        primal = self.est.primal_ir
         configs = list(configs)
         if not configs:
             raise ExecutionError(
                 f"{primal.name}: empty configuration pool"
             )
         batched, n = _scan_sweep_args(primal, args)
-        model = est.module.model
-        kernel = None
-        if (
-            not est._runner.compiled.traces
-            and model.cacheable
-            and not any(
-                isinstance(p.type, ArrayType) for p in primal.params
-            )
-        ):
-            kernel = self._kernel(frozenset(batched))
+        kernel = self._kernel(frozenset(batched))
         if kernel is not None:
             try:
                 pool = self._lower(kernel, configs)
@@ -525,6 +536,7 @@ class ConfigBatchedEstimator:
                 return self._execute_lanes(
                     kernel, pool, configs, args, batched, n
                 )
+        _CB_FALLBACKS.inc()
         return self._execute_loop(configs, args, n)
 
     # -- lanes backend ------------------------------------------------------

@@ -5,7 +5,8 @@ compile-once precision-parameterized lane engine produces — values,
 actual errors, modelled cycles, adjoint error estimates — must equal
 what the per-config ``apply_precision`` + compile + run path produces,
 float for float.  Plus the supporting machinery: vectorized pool
-lowering against its type-inference reference, the fingerprint-keyed
+lowering against its type-inference reference, adjoint lowering
+against per-config rebuilt adjoints, the fingerprint-keyed
 kernel cache, fallback paths, and the generation-based population
 strategy.
 """
@@ -17,6 +18,7 @@ from typing import Optional, Sequence, Set
 import numpy as np
 import pytest
 
+from repro.apps import arclength
 from repro.apps import blackscholes as bs
 from repro.apps import kmeans as km
 from repro.apps import simpsons
@@ -24,11 +26,11 @@ from repro.codegen import runtime
 from repro.codegen.compile import (
     ConfigLoweringError,
     LoweredConfigPool,
-    _dtype_code,
-    _pack_rows,
-    _site_dtype,
+    LoweringPlan,
+    _pack_row,
     clear_config_kernel_cache,
     config_lane_kernel,
+    lower_adjoint_pool,
     lower_config_pool,
 )
 from repro.codegen.npgen import (
@@ -38,11 +40,23 @@ from repro.codegen.npgen import (
     generate_config_lane_source,
 )
 from repro.core.api import (
+    ErrorEstimator,
     _memo_stats,
+    _work_stats,
+    build_adjoint,
     cached_error_estimator,
     clear_estimator_memo,
 )
-from repro.core.models import AdaptModel, TaylorModel
+from repro.core.estimation import ErrorEstimationModule
+from repro.core.models import (
+    AdaptModel,
+    ApproxModel,
+    CenaModel,
+    ErrorModel,
+    TaylorModel,
+    _target_name,
+    _target_read,
+)
 from repro.frontend.registry import kernel as register_kernel
 from repro.interp.cost_model import (
     CostModel,
@@ -50,11 +64,12 @@ from repro.interp.cost_model import (
     expr_cost,
     store_cost,
 )
+from repro.ir import builder as ir_builder
 from repro.ir import nodes as N
 from repro.ir.fingerprint import ir_fingerprint
 from repro.ir.typecheck import infer_types
-from repro.ir.types import ArrayType, DType, ScalarType
-from repro.ir.visitor import walk_stmts
+from repro.ir.types import ArrayType, DType, ScalarType, machine_eps
+from repro.ir.visitor import iter_stmt_exprs, walk_expr, walk_stmts
 from repro.search.evaluate import CandidateEvaluator, config_key
 from repro.search.parallel import ParallelEvaluator
 from repro.session import Session
@@ -198,6 +213,20 @@ class TestPoolRunner:
 # --------------------------------------------------------------------------
 # Vectorized lowering vs the type-inference reference
 # --------------------------------------------------------------------------
+
+
+def _dtype_code(dt: Optional[DType]) -> int:
+    return {DType.F32: 1, DType.F16: 2}.get(dt, 0)
+
+
+def _site_dtype(kind: str, node: object) -> Optional[DType]:
+    if kind == "param":
+        return node.type.dtype  # type: ignore[attr-defined]
+    return getattr(node, "dtype", None)
+
+
+def _pack_rows(rows: np.ndarray, k: int):
+    return [_pack_row(row, k) for row in rows]
 
 
 def _charge_value(
@@ -363,13 +392,290 @@ class TestLoweringEquivalence:
         runner = pool_counting_runner(fn)
         plan = _plan_for(runner.kernel.program)
         for cfg in cfgs:
-            assert _fast_targets(plan, fn.name, cfg) == resolve_targets(
+            assert _fast_targets(plan, cfg) == resolve_targets(
                 fn, cfg
             )
         with pytest.raises(KeyError):
-            _fast_targets(
-                plan, fn.name, PrecisionConfig({"zzz": DType.F32})
+            _fast_targets(plan, PrecisionConfig({"zzz": DType.F32}))
+
+
+# --------------------------------------------------------------------------
+# Adjoint lowering: derived lane parameters vs per-config rebuilt adjoints
+# --------------------------------------------------------------------------
+
+#: per-config differences the structural pairing allows: dtypes (and
+#: parameter types), source locations and constant markers
+_PAIR_VARYING = frozenset(["dtype", "type", "loc", "eps_of"])
+
+
+def _pair(a, b, twin) -> None:
+    """Map ``id`` of every node of ``a`` to its twin in ``b``, asserting
+    both trees have the same shape; only dtypes and float constant
+    values may differ."""
+    assert type(a) is type(b), f"{type(a).__name__} vs {type(b).__name__}"
+    if isinstance(a, (list, tuple)):
+        assert len(a) == len(b), "sequence length diverged"
+        for x, y in zip(a, b):
+            _pair(x, y, twin)
+        return
+    twin[id(a)] = b
+    for key, va in vars(a).items():
+        if key in _PAIR_VARYING:
+            continue
+        vb = vars(b)[key]
+        if type(va).__module__ == N.__name__ or isinstance(
+            va, (list, tuple)
+        ):
+            _pair(va, vb, twin)
+        elif key == "value" and isinstance(va, float):
+            # float constants are lane parameters
+            assert isinstance(vb, float)
+        else:
+            assert va == vb and type(va) is type(vb), (key, va, vb)
+
+
+def rebuilt_adjoints(primal, model, configs):
+    """Each configuration's adjoint, built the way a per-config
+    estimator builds it (transform + optimisation, no compile)."""
+    return [
+        build_adjoint(
+            apply_precision(primal, c) if c else primal,
+            ErrorEstimationModule(model=model),
+        )
+        for c in configs
+    ]
+
+
+def lower_adjoint_pool_reference(program, variants) -> LoweredConfigPool:
+    """Structural-pairing oracle of ``lower_adjoint_pool``.
+
+    Pairs the program's baseline adjoint node by node with each
+    configuration's rebuilt adjoint and reads every round site's dtype
+    and every float constant's value off its twin — what the lanes
+    must reproduce without rebuilding anything.
+    """
+    k = len(variants)
+    rs = np.zeros((len(program.round_sites), k), dtype=np.int8)
+    cs = np.zeros((len(program.const_sites), k), dtype=np.float64)
+    for j, variant in enumerate(variants):
+        twin = {}
+        _pair(program.fn.params, variant.params, twin)
+        _pair(program.fn.body, variant.body, twin)
+        for i, site in enumerate(program.round_sites):
+            rs[i, j] = _dtype_code(
+                _site_dtype(site.kind, twin[id(site.node)])
             )
+        for i, c in enumerate(program.const_sites):
+            cs[i, j] = twin[id(c)].value
+    return LoweredConfigPool(
+        k=k,
+        selectors=[runtime.LaneSelector.from_codes(row) for row in rs],
+        charges=[],
+        consts=_pack_rows(cs, k),
+    )
+
+
+#: the apps whose estimators run on lanes (kmeans and hpccg estimators
+#: take array parameters): kernel, candidates, swept inputs, a config
+#: keyed by an inlined-prefix name, and an approx-model variable map
+LANE_APPS = {
+    "arclength": (
+        arclength.arclength,
+        arclength.TUNING_CANDIDATES,
+        ("h",),
+        {"t": DType.F16, "x": DType.F32},
+        {"diff": "sqrt"},
+    ),
+    "simpsons": (
+        simpsons.simpson,
+        simpsons.TUNING_CANDIDATES,
+        ("lo", "hi"),
+        {"fx": DType.F32, "s": DType.F16},
+        {"x": "sqrt"},
+    ),
+    "blackscholes": (
+        bs.bs_price,
+        bs.SEARCH_CANDIDATES,
+        ("sptprice", "volatility"),
+        {"x": DType.F16, "expin_in1": DType.F16, "expin": DType.F32},
+        bs.APPROX_VARIABLE_MAP,
+    ),
+}
+LANE_MODELS = {
+    "taylor": lambda app: TaylorModel(),
+    "adapt": lambda app: AdaptModel(),
+    "cena": lambda app: CenaModel(),
+    "approx+taylor": lambda app: ApproxModel(
+        LANE_APPS[app][4], fallthrough=TaylorModel()
+    ),
+}
+
+
+class TestAdjointLowering:
+    @pytest.mark.parametrize("model_name", sorted(LANE_MODELS))
+    @pytest.mark.parametrize("app", sorted(LANE_APPS))
+    def test_derived_matches_rebuilt_adjoints(self, app, model_name):
+        kern, names, swept, prefixed, _ = LANE_APPS[app]
+        model = LANE_MODELS[model_name](app)
+        pool = (
+            [PrecisionConfig(), PrecisionConfig(prefixed)]
+            + make_pool(names, 8, seed=len(app), p=0.5)
+        )
+        variants = rebuilt_adjoints(kern.ir, model, pool)
+        est = cached_error_estimator(kern, model=model)
+        plan = LoweringPlan(kern.ir)
+        for batched in (frozenset(), frozenset(swept)):
+            program = est.config_batched._kernel(batched).program
+            _pools_equal(
+                lower_adjoint_pool(program, plan, pool),
+                lower_adjoint_pool_reference(program, variants),
+            )
+
+    def test_unknown_name_raises_the_scalar_keyerror(self):
+        est = cached_error_estimator(bs.bs_price)
+        program = est.config_batched._kernel(frozenset()).program
+        bad = PrecisionConfig({"_d_login": DType.F32})
+        with pytest.raises(KeyError) as derived:
+            lower_adjoint_pool(program, LoweringPlan(bs.bs_price.ir), [bad])
+        with pytest.raises(KeyError) as scalar:
+            apply_precision(bs.bs_price.ir, bad)
+        assert str(derived.value) == str(scalar.value)
+
+    def test_marker_is_invisible_and_survives_clone(self):
+        def consts(fn):
+            return [
+                n
+                for s in walk_stmts(fn.body)
+                for e in iter_stmt_exprs(s)
+                for n in walk_expr(e)
+                if isinstance(n, N.Const)
+            ]
+
+        adj = cached_error_estimator(bs.bs_price).adjoint_ir
+        copy = ir_builder.clone(adj)
+        marks = [c.eps_of for c in consts(adj)]
+        assert any(marks)
+        assert [c.eps_of for c in consts(copy)] == marks
+        for c in consts(copy):
+            c.eps_of = None
+        assert ir_fingerprint(copy) == ir_fingerprint(adj)
+
+
+class _UnmarkedEpsModel(ErrorModel):
+    """Eq. 1 with the machine epsilon baked in *unmarked*: a third-party
+    model whose dtype-dependent constant the lanes cannot see."""
+
+    name = "unmarked-eps"
+
+    def error_expr(self, ctx, target, adjoint, stmt):
+        dt = target.dtype or DType.F64
+        if not dt.is_float:
+            return None
+        return ir_builder.fabs(
+            ir_builder.mul(
+                ir_builder.const(machine_eps(dt)),
+                ir_builder.mul(
+                    _target_read(target), ir_builder.clone(adjoint)
+                ),
+            )
+        )
+
+
+class _ClaimsMarkedModel(_UnmarkedEpsModel):
+    """The same model wrongly declaring its constants marked."""
+
+    name = "claims-marked"
+    marks_dtype_constants = True
+
+
+class _FoldedEpsModel(ErrorModel):
+    """Marks its epsilon but multiplies it by a constant the optimiser
+    folds in, so the marked constant does not survive."""
+
+    name = "folded-eps"
+    marks_dtype_constants = True
+
+    def error_expr(self, ctx, target, adjoint, stmt):
+        from repro.core.models import eps_const
+
+        dt = target.dtype or DType.F64
+        if not dt.is_float:
+            return None
+        scaled = ir_builder.mul(
+            ir_builder.const(0.5), eps_const(_target_name(target), dt)
+        )
+        return ir_builder.fabs(
+            ir_builder.mul(
+                scaled,
+                ir_builder.mul(
+                    _target_read(target), ir_builder.clone(adjoint)
+                ),
+            )
+        )
+
+
+class TestLaneSafety:
+    def _sweep(self):
+        sw = random_sweep(
+            {"sptprice": (25.0, 150.0), "volatility": (0.05, 0.65)},
+            n=6,
+            seed=5,
+        )
+        return (sw["sptprice"], 100.0, 0.05, sw["volatility"], 0.5, 0)
+
+    def _assert_lanes_match_fresh(self, rep, pool, model, args):
+        for lane, cfg in enumerate(pool):
+            mixed = (
+                apply_precision(bs.bs_price.ir, cfg)
+                if cfg
+                else bs.bs_price.ir
+            )
+            ref = ErrorEstimator(mixed, model=model).execute_batch(*args)
+            assert np.array_equal(ref.values, rep.values[lane])
+            assert np.array_equal(ref.total_error, rep.total_error[lane])
+
+    @pytest.mark.parametrize(
+        "model_cls", [_UnmarkedEpsModel, _FoldedEpsModel],
+        ids=["undeclared", "folded"],
+    )
+    def test_unliftable_constants_take_the_loop_backend(self, model_cls):
+        args = self._sweep()
+        pool = make_pool(bs.SEARCH_CANDIDATES, 4, seed=3)
+        model = model_cls()
+        est = cached_error_estimator(bs.bs_price, model=model)
+        before = _work_stats()["config_batch_fallbacks"]
+        rep = est.execute_config_batch(pool, *args)
+        assert rep.backend == "loop"
+        assert _work_stats()["config_batch_fallbacks"] == before + 1
+        self._assert_lanes_match_fresh(rep, pool, model, args)
+
+    def test_marked_and_unmarked_twins_never_share_lanes(self):
+        # TaylorModel(precision=F64) prints the same adjoint as the
+        # default Taylor model, but its epsilons are fixed while the
+        # default's follow each lane's dtypes
+        args = self._sweep()
+        pool = make_pool(bs.SEARCH_CANDIDATES, 4, seed=8)
+        for model in (TaylorModel(precision=DType.F64), TaylorModel()):
+            rep = cached_error_estimator(
+                bs.bs_price, model=model
+            ).execute_config_batch(pool, *args)
+            assert rep.backend == "lanes"
+            self._assert_lanes_match_fresh(rep, pool, model, args)
+
+    def test_the_declaration_is_what_keeps_lanes_correct(self):
+        # the same unmarked constant run on lanes anyway: the baseline
+        # epsilon leaks into every demoted lane
+        args = self._sweep()
+        pool = [PrecisionConfig.demote(bs.SEARCH_CANDIDATES)]
+        model = _ClaimsMarkedModel()
+        rep = cached_error_estimator(
+            bs.bs_price, model=model
+        ).execute_config_batch(pool, *args)
+        assert rep.backend == "lanes"
+        ref = ErrorEstimator(
+            apply_precision(bs.bs_price.ir, pool[0]), model=model
+        ).execute_batch(*args)
+        assert not np.array_equal(ref.total_error, rep.total_error[0])
 
 
 # --------------------------------------------------------------------------
@@ -669,6 +975,31 @@ class TestSearchIntegration:
             # pools are estimated on the kernel's own estimator instead
             # of one adjoint build per demoted candidate
             assert builds[True] < builds[False]
+
+    def test_blackscholes_search_builds_one_adjoint_per_estimator(self):
+        clear_estimator_memo()
+        scen = bs.search_scenario(n_points=2, n_samples=8)
+        res = scen.run(session=Session(), seed=0, budget=16)
+        work = res.stats["work"]
+        assert res.stats["evaluator"]["pool_runs"] >= 1
+        assert work["estimator_builds"] >= 1
+        assert work["adjoint_builds"] == work["estimator_builds"]
+        assert work["config_batch_fallbacks"] == 0
+        assert set(Session().stats()["work"]) == set(work)
+
+    def test_prepare_prewarms_the_estimator_lanes(self):
+        # forked workers inherit the compiled lane kernel instead of
+        # compiling their own
+        clear_estimator_memo()
+        scen = bs.search_scenario(n_points=2, n_samples=8)
+        ev = CandidateEvaluator(
+            scen.kernel, scen.points, samples=scen.samples,
+            fixed=scen.fixed,
+        )
+        ev.prepare()
+        est = cached_error_estimator(scen.kernel, model=TaylorModel())
+        kernels = est.config_batched._kernels
+        assert [k for k in kernels.values() if k is not None]
 
     def test_searched_candidates_hit_the_sweep_cache(self):
         # pool-wise estimates store each candidate's report under the
