@@ -9,8 +9,9 @@ out of the way:
    (spans nest), the per-phase self-times sum to the root span's
    duration within 10% of the traced wall-clock, and the search
    *result* is bit-identical with tracing on vs off, and that its work
-   counters show one adjoint build per estimator build and no
-   config-batch fallback;
+   counters show one adjoint build per estimator build, no
+   config-batch fallback, and lane kernels run natively with no
+   numpy-path fallback;
 2. start ``python -m repro serve --trace``, submit a tune job over
    HTTP, and assert the job's ``serve.job`` root span lands in the
    trace carrying the submission's ``X-Request-Id``;
@@ -96,11 +97,13 @@ def check_traced_search(tmp_path: Path, say) -> None:
     )
     assert traced.get("profile"), "traced run carries no profile"
     # deterministic work counters: one adjoint build per estimator
-    # build (lanes derive every candidate's parameters from it), and
-    # every pool estimated on lanes
+    # build (lanes derive every candidate's parameters from it), every
+    # pool estimated on lanes, and every lane kernel call run natively
     work = traced["stats"]["work"]
     assert work["config_batch_fallbacks"] == 0, work
     assert work["adjoint_builds"] == work["estimator_builds"] > 0, work
+    assert work["native_fallbacks"] == 0, work
+    assert work["native_lane_runs"] > 0, work
 
     records = load_trace(trace_path)  # raises on malformed lines
     assert records, "trace file is empty"

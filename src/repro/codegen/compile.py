@@ -17,7 +17,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.codegen import runtime
+from repro.codegen import native, runtime
+from repro.codegen.native import NativeKernel
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.codegen.npgen import (
@@ -675,9 +676,17 @@ class ConfigLaneKernel:
     parameters appended.
     """
 
-    def __init__(self, program: ConfigLaneProgram, raw: Callable) -> None:
+    def __init__(
+        self,
+        program: ConfigLaneProgram,
+        raw: Callable,
+        native: Optional[NativeKernel] = None,
+    ) -> None:
         self.program = program
         self.raw = raw
+        #: the same kernel lowered for the C lane interpreter; ``None``
+        #: keeps every call on the numpy path (``raw``)
+        self.native = native
 
     @property
     def source(self) -> str:
@@ -694,6 +703,15 @@ class ConfigLaneKernel:
         )
 
     def __call__(self, pool: LoweredConfigPool, *args: object) -> object:
+        """Run every lane of ``pool`` on ``args``.
+
+        Runs natively when the kernel was lowered for the interpreter;
+        the numpy path serves the rest, including native calls that
+        must be replayed there (see :mod:`repro.codegen.native`).
+        """
+        done, result = native.run(self.native, pool, args)
+        if done:
+            return result
         with np.errstate(all="ignore"):
             return self.raw(
                 *args, pool.selectors, pool.charges, pool.consts
@@ -812,7 +830,10 @@ def config_lane_kernel(
             )
             ns: Dict[str, object] = {}
             exec(code, g, ns)  # noqa: S102 - compiling our own generated source
-            kernel = ConfigLaneKernel(program, ns[fn.name])  # type: ignore[arg-type]
+            lowered = (
+                None if extra_bindings else native.lower(program, approx)
+            )
+            kernel = ConfigLaneKernel(program, ns[fn.name], lowered)  # type: ignore[arg-type]
         _CK_COMPILE_SECONDS.observe(time.perf_counter() - t0)
         if key is not None:
             _CONFIG_KERNEL_MEMO[key] = kernel

@@ -156,6 +156,7 @@ class _BatchGen:
         batched: Set[str],
         extra_taint: Set[str] = frozenset(),
         allow_arrays: bool = False,
+        taint: Optional[Tuple[Set[str], Set[str]]] = None,
     ) -> None:
         if not allow_arrays:
             for p in fn.params:
@@ -172,7 +173,9 @@ class _BatchGen:
             )
         self.fn = fn
         self.allow_arrays = allow_arrays
-        self.tainted, self.tainted_stacks = _taint_analysis(
+        #: ``taint`` reuses an earlier analysis of the same function
+        #: and batched set (see ConfigLaneProgram.taint)
+        self.tainted, self.tainted_stacks = taint or _taint_analysis(
             fn, set(batched) | set(extra_taint)
         )
         self.lines: List[str] = []
@@ -535,6 +538,9 @@ class ConfigLaneProgram:
     const_sites: List[N.Const]
     #: baseline storage dtype of every variable (pre-demotion)
     var_baseline: dict
+    #: the taint analysis the rendering used: (lane-varying names,
+    #: lane-varying stacks)
+    taint: Tuple[Set[str], Set[str]]
 
 
 _FLOAT_DTYPES = (DType.F64, DType.F32, DType.F16)
@@ -555,6 +561,7 @@ class _ConfigLaneGen(_BatchGen):
         batched: Set[str],
         counting: bool,
         allow_arrays: bool,
+        taint: Optional[Tuple[Set[str], Set[str]]] = None,
     ) -> None:
         from repro.ir.typecheck import collect_var_dtypes
 
@@ -569,6 +576,7 @@ class _ConfigLaneGen(_BatchGen):
             set(batched),
             extra_taint=config_taint,
             allow_arrays=allow_arrays,
+            taint=taint,
         )
         self.counting = counting
         self.round_sites: List[RoundSite] = []
@@ -807,6 +815,7 @@ def generate_config_lane_source(
         charge_sites=gen.charge_sites,
         const_sites=gen.const_sites,
         var_baseline=gen.var_baseline,
+        taint=(gen.tainted, gen.tainted_stacks),
     )
 
 

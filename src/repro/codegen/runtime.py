@@ -158,20 +158,29 @@ class LaneSelector:
 
     Holds the per-lane rounding codes (0 = keep, 1 = binary32, 2 =
     binary16) as a ``(K, 1)`` column — so lane parameters broadcast
-    against the batched-input axis — plus boolean masks per precision.
+    against the batched-input axis — plus boolean masks per precision,
+    derived on first use (the native lane engine reads only the codes).
     ``None`` is used instead of a selector when no lane rounds at all —
     the fast path the generated code's ``_rnd`` binding short-circuits
     on.
     """
 
-    __slots__ = ("codes", "m32", "m16", "any32", "any16")
+    __slots__ = ("codes", "_masks")
 
     def __init__(self, codes: np.ndarray) -> None:
         self.codes = codes.reshape(-1, 1)
-        self.m32 = self.codes == 1
-        self.m16 = self.codes == 2
-        self.any32 = bool(self.m32.any())
-        self.any16 = bool(self.m16.any())
+        self._masks: Optional[tuple] = None
+
+    def _derive(self) -> tuple:
+        if self._masks is None:
+            m32, m16 = self.codes == 1, self.codes == 2
+            self._masks = (m32, m16, bool(m32.any()), bool(m16.any()))
+        return self._masks
+
+    m32 = property(lambda self: self._derive()[0])
+    m16 = property(lambda self: self._derive()[1])
+    any32 = property(lambda self: self._derive()[2])
+    any16 = property(lambda self: self._derive()[3])
 
     @classmethod
     def from_codes(cls, codes: np.ndarray) -> Optional["LaneSelector"]:

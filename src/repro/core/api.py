@@ -467,14 +467,19 @@ def _memo_stats() -> Dict[str, int]:
 def _work_stats() -> Dict[str, int]:
     """Process-cumulative build-side work counters (behind
     ``Session.stats()["work"]``): adjoint builds, estimator builds
-    (adjoint build + compile) and config-batched estimates that fell
-    back to one estimator per configuration."""
+    (adjoint build + compile), config-batched estimates that fell
+    back to one estimator per configuration, and config-lane and
+    input-sweep batch kernel calls run by the native interpreter or,
+    instead, on the numpy path."""
+    from repro.codegen.native import NATIVE_FALLBACKS, NATIVE_RUNS
     from repro.sweep.batch import _CB_FALLBACKS
 
     return {
         "adjoint_builds": _ADJOINT_BUILDS.value,
         "estimator_builds": int(_BUILD_SECONDS.snapshot()["count"]),
         "config_batch_fallbacks": _CB_FALLBACKS.value,
+        "native_lane_runs": NATIVE_RUNS.value,
+        "native_fallbacks": NATIVE_FALLBACKS.value,
     }
 
 

@@ -56,8 +56,20 @@ def round_f32(x: float) -> float:
     return struct.unpack("f", struct.pack("f", x))[0]
 
 
+_F16_MAX_ROUND = 65520.0  # halfway point to binary16 inf
+
+
 def round_f16(x: float) -> float:
-    """Round a double to the nearest binary16 value (returned as double)."""
+    """Round a double to the nearest binary16 value (returned as double).
+
+    Magnitudes from the round-to-nearest-even overflow point up become
+    ±inf, exactly what the cast itself returns — guarded here so the
+    cast never warns.
+    """
+    if x >= _F16_MAX_ROUND:
+        return float("inf")
+    if x <= -_F16_MAX_ROUND:
+        return float("-inf")
     return float(np.float16(x))
 
 
@@ -76,7 +88,9 @@ def round_to(
     if not dtype.is_float:
         return x
     if isinstance(x, np.ndarray):
-        return x.astype(_NP_DTYPES[dtype]).astype(np.float64)
+        # overflow to ±inf is the intended IEEE result, not an error
+        with np.errstate(over="ignore"):
+            return x.astype(_NP_DTYPES[dtype]).astype(np.float64)
     return _ROUNDERS[dtype](x)
 
 

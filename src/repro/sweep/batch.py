@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.codegen import runtime
+from repro.codegen import native, runtime
 from repro.codegen.npgen import UnvectorizableError, generate_batch_source
 from repro.core.report import ErrorReport
 from repro.ir import nodes as N
@@ -35,6 +35,7 @@ from repro.obs import metrics as obs_metrics
 from repro.util.errors import ExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.codegen.native import NativeKernel
     from repro.core.api import ErrorEstimator
 
 #: config-batched estimates that ran one estimator per configuration
@@ -183,13 +184,16 @@ class BatchedErrorEstimator:
 
     def __init__(self, est: "ErrorEstimator") -> None:
         self.est = est
-        # frozenset(batched param names) -> (raw callable, source) | None
-        self._variants: Dict[frozenset, Optional[Tuple[object, str]]] = {}
+        # frozenset(batched param names) -> (raw callable, source,
+        # native kernel | None) | None
+        self._variants: Dict[
+            frozenset, Optional[Tuple[object, str, Optional["NativeKernel"]]]
+        ] = {}
 
     # -- variant compilation ------------------------------------------------
     def _variant(
         self, batched: frozenset
-    ) -> Optional[Tuple[object, str]]:
+    ) -> Optional[Tuple[object, str, Optional["NativeKernel"]]]:
         if batched not in self._variants:
             adj = self.est.adjoint_ir
             try:
@@ -198,7 +202,8 @@ class BatchedErrorEstimator:
                 self._variants[batched] = None
                 return None
             g = runtime.batch_bindings()
-            for name, impl in self.est.module.bindings().items():
+            user = self.est.module.bindings()
+            for name, impl in user.items():
                 # user-bound scalar callables (external error models) are
                 # lifted elementwise so they flow through batch code
                 g[name] = (
@@ -207,7 +212,10 @@ class BatchedErrorEstimator:
             ns: Dict[str, object] = {}
             code = compile(src, f"<repro-batch:{adj.name}>", "exec")
             exec(code, g, ns)  # noqa: S102 - our own generated source
-            self._variants[batched] = (ns[adj.name], src)
+            # the same kernel on the C lane interpreter, one lane per
+            # point (user-bound callables stay on the numpy path)
+            lowered = None if user else native.lower_batch(adj, set(batched))
+            self._variants[batched] = (ns[adj.name], src, lowered)
         return self._variants[batched]
 
     def batch_source(self, batched: Sequence[str]) -> Optional[str]:
@@ -232,7 +240,9 @@ class BatchedErrorEstimator:
         if batched and not self.est._runner.compiled.traces:
             variant = self._variant(frozenset(batched))
         if variant is not None:
-            return self._execute_vectorized(args, batched, n, variant[0])
+            return self._execute_vectorized(
+                args, batched, n, variant[0], variant[2]
+            )
         return self._execute_loop(args, batched, n)
 
     # -- vectorized backend -------------------------------------------------
@@ -242,6 +252,7 @@ class BatchedErrorEstimator:
         batched: List[str],
         n: int,
         raw: object,
+        lowered: Optional["NativeKernel"],
     ) -> BatchReport:
         primal = self.est.primal_ir
         full: List[object] = []
@@ -265,8 +276,10 @@ class BatchedErrorEstimator:
 
                     v = round_to(float(a), dt)
                 full.append(v)
-        with np.errstate(all="ignore"):
-            result = raw(*full)  # type: ignore[operator]
+        done, result = native.run(lowered, None, full)
+        if not done:
+            with np.errstate(all="ignore"):
+                result = raw(*full)  # type: ignore[operator]
         if not isinstance(result, tuple):
             result = (result,)
         named: Dict[Tuple[str, ...], np.ndarray] = {}

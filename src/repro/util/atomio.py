@@ -33,7 +33,7 @@ import hashlib
 import os
 import tempfile
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from repro import faults
 from repro.obs import metrics as obs_metrics
@@ -46,6 +46,7 @@ __all__ = [
     "frame",
     "unframe",
     "atomic_write",
+    "atomic_build",
     "publish_exclusive",
     "read_bytes",
     "quarantine",
@@ -176,6 +177,33 @@ def atomic_write(
         _write()
     else:
         retry_call(_write, policy=retry, op=site or "atomic_write")
+
+
+def atomic_build(
+    path: Union[str, Path], build: Callable[[Path], None]
+) -> None:
+    """Produce ``path`` with an external writer, atomically.
+
+    ``build`` is called with a holder-unique temporary path in
+    ``path``'s directory and must write the complete file there (e.g.
+    a compiler's ``-o``); the result is then renamed over ``path``.
+    Concurrent builders never see each other's partial output, and a
+    failed build leaves nothing behind.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(
+        dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
+    )
+    os.close(fd)
+    try:
+        build(Path(tmp))
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def publish_exclusive(

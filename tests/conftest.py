@@ -84,3 +84,34 @@ def serve_payload():
             reg.close()
 
     return run
+
+
+@pytest.fixture(params=["native", "numpy"])
+def lane_engine(request, monkeypatch):
+    """Run config-lane kernels on the C interpreter, or with the
+    compiler taken away so every call takes the numpy path.  Kernel and
+    estimator caches are cleared around the test so neither engine's
+    kernels leak into the other's."""
+    from repro.codegen import native
+    from repro.codegen.compile import clear_config_kernel_cache
+    from repro.core.api import clear_estimator_memo
+
+    if request.param == "numpy":
+        monkeypatch.setattr(native, "_compiler", lambda: None)
+        monkeypatch.setattr(native, "_LIB", None)
+        monkeypatch.setattr(native, "_LIB_FAILED", False)
+    elif native.library() is None:
+        pytest.skip("no C compiler for the native lane engine")
+    clear_config_kernel_cache()
+    clear_estimator_memo()
+    before = (native.NATIVE_RUNS.value, native.NATIVE_FALLBACKS.value)
+    yield request.param
+    runs = native.NATIVE_RUNS.value - before[0]
+    fallbacks = native.NATIVE_FALLBACKS.value - before[1]
+    clear_config_kernel_cache()
+    clear_estimator_memo()
+    # every lane call ran on the engine under test
+    if request.param == "numpy":
+        assert runs == 0 and fallbacks > 0
+    else:
+        assert runs > 0 and fallbacks == 0

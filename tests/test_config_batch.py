@@ -129,7 +129,9 @@ class TestPoolRunner:
         ],
         ids=["blackscholes", "kmeans"],
     )
-    def test_bitwise_identical_to_scalar(self, fn, points, names, mode):
+    def test_bitwise_identical_to_scalar(
+        self, fn, points, names, mode, lane_engine
+    ):
         pool = make_pool(names, 20, seed=1)
         runner = pool_counting_runner(fn)
         assert runner is not None and runner.mode == mode
@@ -877,7 +879,7 @@ class TestExecuteConfigBatch:
     @pytest.mark.parametrize(
         "model_cls", [TaylorModel, AdaptModel], ids=["taylor", "adapt"]
     )
-    def test_lanes_match_per_config_estimators(self, model_cls):
+    def test_lanes_match_per_config_estimators(self, model_cls, lane_engine):
         clear_estimator_memo()
         sw = random_sweep(
             {"sptprice": (25.0, 150.0), "volatility": (0.05, 0.65)},

@@ -40,6 +40,25 @@ class TestRounding:
         assert round_f16(1.0) == 1.0
         assert round_f16(math.pi) == float(np.float16(math.pi))
 
+    def test_round_f16_overflow_guard_matches_the_cast(self):
+        below = np.nextafter(65520.0, 0.0)  # 65519.99...
+        edges = [65504.0, below, 65520.0, 1e300, math.inf]
+        with np.errstate(over="ignore"):
+            for x in edges + [-x for x in edges]:
+                want = float(np.float16(x))
+                assert round_f16(x) == want
+                assert math.copysign(1.0, round_f16(x)) == math.copysign(
+                    1.0, want
+                )
+        assert round_f16(below) == 65504.0
+        assert round_f16(65520.0) == math.inf
+        assert math.isnan(round_f16(math.nan))
+        arr = np.array(edges)
+        assert np.array_equal(
+            round_to(arr, DType.F16),
+            np.array([65504.0, 65504.0, math.inf, math.inf, math.inf]),
+        )
+
     def test_round_to_arrays(self):
         a = np.array([math.pi, math.e])
         r = round_to(a, DType.F32)
