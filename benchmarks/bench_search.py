@@ -12,12 +12,6 @@ subsequent warm resume of the same run is timed too, asserting it
 re-evaluates **zero** candidates and reproduces the front bit-for-bit
 (the ``warm_resume_speedup`` column).
 
-It also times a cold serial search of each of the five app scenarios
-with config-lane kernels on the numpy path and on the native C lane
-interpreter (best of ``--repeat``), asserting that both engines, serial
-and parallel, produce bit-identical fronts, histories and run ids (the
-``engines`` block).
-
 Run as a script to (re)generate ``BENCH_search.json`` at the repo
 root::
 
@@ -31,18 +25,16 @@ version of the same checks.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(_REPO_ROOT / "src"))
 
-from repro.codegen import native  # noqa: E402
 from repro.codegen.compile import clear_config_kernel_cache  # noqa: E402
 from repro.core.api import clear_estimator_memo  # noqa: E402
 from repro.search import SearchResult  # noqa: E402
@@ -141,88 +133,8 @@ def run_app(
     }
 
 
-#: the perfbench ``search-cold`` scenarios, at their default budgets
-ENGINE_SCENARIOS = ("arclength", "simpsons", "kmeans", "hpccg", "blackscholes")
-
-
-def _history_fingerprint(res: SearchResult) -> List[object]:
-    def cands(cs):
-        return [
-            (c.key, repr(c.error), repr(c.estimated_error),
-             repr(c.actual_error), repr(c.cycles), c.strategy, c.index)
-            for c in cs
-        ]
-
-    return [cands(res.front.points), cands(res.evaluations), res.run_id]
-
-
-@contextlib.contextmanager
-def _lane_engine(engine: str) -> Iterator[None]:
-    """Run config-lane kernels natively, or on the numpy path with the
-    native library unloaded and marked unbuildable."""
-    saved = native._LIB, native._LIB_FAILED
-    if engine == "numpy":
-        native._LIB, native._LIB_FAILED = None, True
-    try:
-        yield
-    finally:
-        native._LIB, native._LIB_FAILED = saved
-
-
-def _cold_search(name: str, seed: int, workers: int = 1):
-    clear_estimator_memo()
-    clear_config_kernel_cache()
-    with tempfile.TemporaryDirectory() as store_dir:
-        t0 = time.perf_counter()
-        res = Session(store=store_dir).search(
-            name, seed=seed, workers=workers
-        )
-        return res, time.perf_counter() - t0
-
-
-def engine_comparison(
-    seed: int, repeat: int, workers: int
-) -> List[Dict[str, object]]:
-    """Cold serial search per scenario on each lane engine."""
-    if native.library() is None:
-        raise SystemExit("the native lane engine needs a C compiler")
-    engines = ("numpy", "native")
-    rows = []
-    for name in ENGINE_SCENARIOS:
-        runs: Dict[str, list] = {e: [] for e in engines}
-        for i in range(repeat):
-            # alternate which engine runs first, against load drift
-            for engine in engines[:: 1 if i % 2 == 0 else -1]:
-                with _lane_engine(engine):
-                    runs[engine].append(_cold_search(name, seed))
-        row: Dict[str, object] = {"scenario": name}
-        prints = []
-        for engine in engines:
-            with _lane_engine(engine):
-                parallel, _ = _cold_search(name, seed, workers)
-            res = runs[engine][0][0]
-            prints += [_history_fingerprint(r) for r, _ in runs[engine]]
-            prints.append(_history_fingerprint(parallel))
-            work = res.stats["work"]
-            row[engine] = {
-                "serial_s": min(t for _, t in runs[engine]),
-                "native_lane_runs": work["native_lane_runs"],
-                "native_fallbacks": work["native_fallbacks"],
-            }
-        assert all(p == prints[0] for p in prints), (
-            f"{name}: lane engines disagree"
-        )
-        row["n_evaluated"] = res.n_evaluated
-        row["identical"] = True
-        row["speedup"] = (
-            row["numpy"]["serial_s"] / row["native"]["serial_s"]  # type: ignore[index]
-        )
-        rows.append(row)
-    return rows
-
-
 def build_report(
-    budget: Optional[int], workers: int, seed: int = 0, repeat: int = 5
+    budget: Optional[int], workers: int, seed: int = 0
 ) -> Dict[str, object]:
     import os
 
@@ -243,7 +155,6 @@ def build_report(
             run_app("blackscholes", budget, workers, seed),
             run_app("kmeans", budget, workers, seed),
         ],
-        "engines": engine_comparison(seed, repeat, workers),
     }
 
 
@@ -260,19 +171,12 @@ def main(argv: Optional[List[str]] = None) -> int:
              "reproducible search trajectories)",
     )
     ap.add_argument(
-        "--repeat", type=int, default=5,
-        help="cold serial searches per scenario and lane engine "
-             "(the best is recorded)",
-    )
-    ap.add_argument(
         "--out", type=Path, default=_REPO_ROOT / "BENCH_search.json"
     )
     args = ap.parse_args(argv)
     from _provenance import with_timing
 
-    report = with_timing(
-        build_report, args.budget, args.workers, args.seed, args.repeat
-    )
+    report = with_timing(build_report, args.budget, args.workers, args.seed)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     for r in report["results"]:  # type: ignore[union-attr]
         best = r["best_under_threshold"]
@@ -288,13 +192,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 if speedup is not None
                 else "  (no feasible point)"
             )
-        )
-    for e in report["engines"]:  # type: ignore[union-attr]
-        print(
-            f"{e['scenario']:14s} cold serial search: numpy lanes "
-            f"{e['numpy']['serial_s']:6.3f}s native lanes "
-            f"{e['native']['serial_s']:6.3f}s ({e['speedup']:.2f}x), "
-            f"bit-identical"
         )
     print(f"wrote {args.out}")
     ok = all(

@@ -10,8 +10,8 @@ out of the way:
    duration within 10% of the traced wall-clock, and the search
    *result* is bit-identical with tracing on vs off, and that its work
    counters show one adjoint build per estimator build, no
-   config-batch fallback, and lane kernels run natively with no
-   numpy-path fallback;
+   config-batch fallback and no native-engine fallback; a search of a
+   kernel with loops (simpsons) must run its lane kernels natively;
 2. start ``python -m repro serve --trace``, submit a tune job over
    HTTP, and assert the job's ``serve.job`` root span lands in the
    trace carrying the submission's ``X-Request-Id``;
@@ -98,12 +98,22 @@ def check_traced_search(tmp_path: Path, say) -> None:
     assert traced.get("profile"), "traced run carries no profile"
     # deterministic work counters: one adjoint build per estimator
     # build (lanes derive every candidate's parameters from it), every
-    # pool estimated on lanes, and every lane kernel call run natively
+    # pool estimated on lanes, and no native-engine fallback (the
+    # straight-line blackscholes kernels stay on the numpy path by
+    # choice, which is no fallback)
     work = traced["stats"]["work"]
     assert work["config_batch_fallbacks"] == 0, work
     assert work["adjoint_builds"] == work["estimator_builds"] > 0, work
     assert work["native_fallbacks"] == 0, work
-    assert work["native_lane_runs"] > 0, work
+    # kernels with loops run every lane kernel call natively
+    loop_json = tmp_path / "loop.json"
+    _run_cli(
+        "search", "--kernel", "simpsons", "--budget", "16",
+        "--json", str(loop_json),
+    )
+    loop_work = json.loads(loop_json.read_text())["stats"]["work"]
+    assert loop_work["native_fallbacks"] == 0, loop_work
+    assert loop_work["native_lane_runs"] > 0, loop_work
 
     records = load_trace(trace_path)  # raises on malformed lines
     assert records, "trace file is empty"

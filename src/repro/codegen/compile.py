@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -204,6 +204,9 @@ class LoweredConfigPool:
     charges: List[object]
     #: per float-constant site: float (lane-uniform) or ``(K, 1)`` array
     consts: List[object]
+    #: the parameters above packed for the native lane interpreter,
+    #: filled on the pool's first native call
+    packed: Optional[object] = field(default=None, repr=False, compare=False)
 
 
 def _pack_row(row: np.ndarray, k: int) -> object:
@@ -676,17 +679,17 @@ class ConfigLaneKernel:
     parameters appended.
     """
 
-    def __init__(
-        self,
-        program: ConfigLaneProgram,
-        raw: Callable,
-        native: Optional[NativeKernel] = None,
-    ) -> None:
+    def __init__(self, program: ConfigLaneProgram, raw: Callable) -> None:
         self.program = program
         self.raw = raw
-        #: the same kernel lowered for the C lane interpreter; ``None``
-        #: keeps every call on the numpy path (``raw``)
-        self.native = native
+        #: whether calls go to the C lane interpreter at all: only
+        #: kernels with a loop repay their lowering (see
+        #: :func:`repro.codegen.native.worth_lowering`)
+        self.native_engine = native.worth_lowering(program.fn)
+        #: the kernel lowered for the interpreter; ``None`` sends the
+        #: calls of a native-engine kernel to the numpy path (``raw``)
+        #: as counted fallbacks
+        self.native: Optional[NativeKernel] = None
 
     @property
     def source(self) -> str:
@@ -705,13 +708,14 @@ class ConfigLaneKernel:
     def __call__(self, pool: LoweredConfigPool, *args: object) -> object:
         """Run every lane of ``pool`` on ``args``.
 
-        Runs natively when the kernel was lowered for the interpreter;
-        the numpy path serves the rest, including native calls that
-        must be replayed there (see :mod:`repro.codegen.native`).
+        Kernels on the native engine run on the interpreter; the numpy
+        path serves the rest, including native calls that must be
+        replayed there (see :mod:`repro.codegen.native`).
         """
-        done, result = native.run(self.native, pool, args)
-        if done:
-            return result
+        if self.native_engine:
+            done, result = native.run(self.native, pool, args)
+            if done:
+                return result
         with np.errstate(all="ignore"):
             return self.raw(
                 *args, pool.selectors, pool.charges, pool.consts
@@ -830,10 +834,9 @@ def config_lane_kernel(
             )
             ns: Dict[str, object] = {}
             exec(code, g, ns)  # noqa: S102 - compiling our own generated source
-            lowered = (
-                None if extra_bindings else native.lower(program, approx)
-            )
-            kernel = ConfigLaneKernel(program, ns[fn.name], lowered)  # type: ignore[arg-type]
+            kernel = ConfigLaneKernel(program, ns[fn.name])  # type: ignore[arg-type]
+            if kernel.native_engine and not extra_bindings:
+                kernel.native = native.lower(program, approx)
         _CK_COMPILE_SECONDS.observe(time.perf_counter() - t0)
         if key is not None:
             _CONFIG_KERNEL_MEMO[key] = kernel

@@ -27,12 +27,15 @@ call is one foreign call.
 
 The input-sweep engine's batch kernels (``generate_batch_source``: one
 lane per input point, static rounding) are lowered the same way, from
-``_BatchGen``'s traversal, and run on the same interpreter.
+``_BatchGen``'s traversal and cast rules, and run on the same
+interpreter.
 
-Kernels the interpreter does not cover (external error models, FastApprox
-intrinsics, sensitivity traces) and machines without a compiler or a
-writable cache run the numpy path; every such call counts in
-``repro_native_fallbacks_total``, every native one in
+Only kernels with a loop take the native engine (:func:`worth_lowering`);
+straight-line ones stay on the numpy path.  Of the kernels with a loop,
+those the interpreter does not cover (external error models, FastApprox
+intrinsics, sensitivity traces) and all of them on machines without a
+compiler or a writable cache run the numpy path; every such call counts
+in ``repro_native_fallbacks_total``, every native one in
 ``repro_native_lane_runs_total``.
 """
 
@@ -74,7 +77,8 @@ NATIVE_RUNS = obs_metrics.REGISTRY.counter(
 )
 NATIVE_FALLBACKS = obs_metrics.REGISTRY.counter(
     "repro_native_fallbacks_total",
-    "config-lane and batch kernel calls that ran on the numpy path",
+    "calls of config-lane and batch kernels with loops that ran on "
+    "the numpy path",
 )
 
 # -- opcodes, value kinds and intrinsic ids (mirror lanevm.c) -----------
@@ -646,6 +650,19 @@ class _LaneLowering(_ConfigLaneGen):
                 self._round(self._round_site("param", p), reg, reg)
 
 
+def worth_lowering(fn: N.Function) -> bool:
+    """Whether ``fn`` runs on the native engine at all.
+
+    Lowering costs Python work per IR operation, once per compiled
+    kernel; a native call saves the numpy path's dispatch once per
+    *executed* operation.  Only a loop executes operations more than
+    once per call, so only kernels with one repay their lowering within
+    a search.  Straight-line kernels stay on the numpy path by choice:
+    their calls are not fallbacks.
+    """
+    return _subtree_has(fn.body, (N.For, N.While))
+
+
 def _same_sites(mine: Sequence[object], theirs: Sequence[object]) -> bool:
     """Same site kinds on the very same IR nodes, in the same order."""
     return len(mine) == len(theirs) and all(
@@ -684,8 +701,9 @@ class _BatchLowering(_LaneLowering):
     """Bytecode twin of ``_BatchGen``: an input-sweep batch kernel.
 
     One lane per input point and no lane parameters: rounding is static
-    (``_c32``/``_c16`` where the scalar code rounds), float constants
-    are immediates, and only the swept parameters taint branches.
+    and placed by ``_BatchGen``'s own ``result_cast``/``store_cast``
+    rules, float constants are immediates, and only the swept
+    parameters taint branches.
     """
 
     def __init__(self, fn: N.Function, batched: Set[str]) -> None:
@@ -695,21 +713,15 @@ class _BatchLowering(_LaneLowering):
         self.round_sites, self.charge_sites, self.const_sites = [], [], []
         self._init_code(fn, None)
 
-
     def expr(  # type: ignore[override]
         self, e: N.Expr, dst: Optional[int] = None
     ) -> int:
-        op = None
-        if isinstance(e, (N.BinOp, N.Call)) and not (
-            isinstance(e, N.BinOp)
-            and (e.op in N.CMPOPS or e.op in N.BOOLOPS)
-        ):
-            op = _CASTS.get(e.dtype) if e.dtype is not DType.I64 else None
-        if op is None:
+        dt = self.result_cast(e)
+        if dt is None:
             return self._expr_raw(e, dst)
         raw = self._expr_raw(e)
         d = self._out(dst)
-        self._op(op, d, raw)
+        self._op(_CASTS[dt], d, raw)
         return d
 
     def _expr_raw(  # type: ignore[override]
@@ -726,18 +738,15 @@ class _BatchLowering(_LaneLowering):
     ) -> None:
         if not isinstance(target, N.Name):
             raise UnvectorizableError(f"{self.fn.name}: array store")
-        tdt = target.dtype or DType.F64
-        cast = None
-        if (value.dtype or DType.F64) is not tdt and tdt is not DType.I64:
-            cast = _CASTS.get(tdt)
+        tdt = self.store_cast(target, value)
         var = self._var(target.id)
-        if self.mask is None and cast is None:
+        if self.mask is None and tdt is None:
             self.expr(value, dst=var)
             return
         v = self.expr(value)
-        if cast is not None:
+        if tdt is not None:
             c = var if self.mask is None else self._temp()
-            self._op(cast, c, v)
+            self._op(_CASTS[tdt], c, v)
             v = c
         if self.mask is not None:
             self._blend(var, v)
@@ -837,6 +846,7 @@ class _NoLanes:
     selectors: List[object] = []
     consts: List[object] = []
     charges: List[object] = []
+    packed: Optional[_PackedPool] = None
 
 
 _NO_LANES = _NoLanes()
@@ -862,14 +872,13 @@ class NativeKernel:
     def _pack(self, pool) -> Optional[_PackedPool]:
         if pool is None:
             pool = _NO_LANES
-        packed = getattr(pool, "_native", None)
+        packed = pool.packed
         if packed is None:
             if (
                 len(pool.selectors), len(pool.consts), len(pool.charges)
             ) != self.n_sites:
                 return None
-            packed = _PackedPool(pool)
-            pool._native = packed
+            packed = pool.packed = _PackedPool(pool)
         return packed
 
     def _marshal(self, args: Sequence[object]):

@@ -197,9 +197,11 @@ class _BatchGen:
     def expr_tainted(self, e: N.Expr) -> bool:
         return any(r in self.tainted for r in _reads(e))
 
-    # -- expressions --------------------------------------------------------
-    def expr(self, e: N.Expr) -> str:
-        text = self._expr_raw(e)
+    # -- static rounding (shared with the native batch lowering) ----------
+    @staticmethod
+    def result_cast(e: N.Expr) -> Optional[DType]:
+        """The precision ``e``'s result is rounded to: arithmetic and
+        calls typed binary32/binary16, else ``None``."""
         if (
             isinstance(e, (N.BinOp, N.Call))
             and e.dtype in (DType.F32, DType.F16)
@@ -208,7 +210,25 @@ class _BatchGen:
                 and (e.op in N.CMPOPS or e.op in N.BOOLOPS)
             )
         ):
-            fn = "_c32" if e.dtype is DType.F32 else "_c16"
+            return e.dtype
+        return None
+
+    @staticmethod
+    def store_cast(target: N.Name, value: N.Expr) -> Optional[DType]:
+        """The precision a store of ``value`` into ``target`` rounds to:
+        a binary32/binary16 target of a differently typed value."""
+        tdt = target.dtype or DType.F64
+        vdt = value.dtype or DType.F64
+        if tdt in (DType.F32, DType.F16) and vdt is not tdt:
+            return tdt
+        return None
+
+    # -- expressions --------------------------------------------------------
+    def expr(self, e: N.Expr) -> str:
+        text = self._expr_raw(e)
+        dt = self.result_cast(e)
+        if dt is not None:
+            fn = "_c32" if dt is DType.F32 else "_c16"
             return f"{fn}({text})"
         return text
 
@@ -255,9 +275,8 @@ class _BatchGen:
                 "the batch backend"
             )
         text = self.expr(value)
-        tdt = target.dtype or DType.F64
-        vdt = value.dtype or DType.F64
-        if tdt in (DType.F32, DType.F16) and vdt is not tdt:
+        tdt = self.store_cast(target, value)
+        if tdt is not None:
             text = f"_c32({text})" if tdt is DType.F32 else f"_c16({text})"
         if self.mask is None:
             self.emit(f"{target.id} = {text}")

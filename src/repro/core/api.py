@@ -468,9 +468,9 @@ def _work_stats() -> Dict[str, int]:
     """Process-cumulative build-side work counters (behind
     ``Session.stats()["work"]``): adjoint builds, estimator builds
     (adjoint build + compile), config-batched estimates that fell
-    back to one estimator per configuration, and config-lane and
-    input-sweep batch kernel calls run by the native interpreter or,
-    instead, on the numpy path."""
+    back to one estimator per configuration, and calls of config-lane
+    and input-sweep batch kernels with loops run by the native
+    interpreter or, instead, on the numpy path."""
     from repro.codegen.native import NATIVE_FALLBACKS, NATIVE_RUNS
     from repro.sweep.batch import _CB_FALLBACKS
 

@@ -179,21 +179,22 @@ def _scan_sweep_args(
     return batched, (1 if n is None else n)
 
 
+#: a compiled batch variant: raw callable, source, whether it runs on
+#: the native engine, and its native kernel (``None``: numpy path)
+_Variant = Tuple[object, str, bool, Optional["NativeKernel"]]
+
+
 class BatchedErrorEstimator:
     """Batch execution façade over one :class:`ErrorEstimator`."""
 
     def __init__(self, est: "ErrorEstimator") -> None:
         self.est = est
-        # frozenset(batched param names) -> (raw callable, source,
-        # native kernel | None) | None
-        self._variants: Dict[
-            frozenset, Optional[Tuple[object, str, Optional["NativeKernel"]]]
-        ] = {}
+        # frozenset(batched param names) -> variant | None
+        # (unvectorizable)
+        self._variants: Dict[frozenset, Optional[_Variant]] = {}
 
     # -- variant compilation ------------------------------------------------
-    def _variant(
-        self, batched: frozenset
-    ) -> Optional[Tuple[object, str, Optional["NativeKernel"]]]:
+    def _variant(self, batched: frozenset) -> Optional[_Variant]:
         if batched not in self._variants:
             adj = self.est.adjoint_ir
             try:
@@ -214,8 +215,11 @@ class BatchedErrorEstimator:
             exec(code, g, ns)  # noqa: S102 - our own generated source
             # the same kernel on the C lane interpreter, one lane per
             # point (user-bound callables stay on the numpy path)
-            lowered = None if user else native.lower_batch(adj, set(batched))
-            self._variants[batched] = (ns[adj.name], src, lowered)
+            engine = native.worth_lowering(adj)
+            lowered = None
+            if engine and not user:
+                lowered = native.lower_batch(adj, set(batched))
+            self._variants[batched] = (ns[adj.name], src, engine, lowered)
         return self._variants[batched]
 
     def batch_source(self, batched: Sequence[str]) -> Optional[str]:
@@ -240,9 +244,7 @@ class BatchedErrorEstimator:
         if batched and not self.est._runner.compiled.traces:
             variant = self._variant(frozenset(batched))
         if variant is not None:
-            return self._execute_vectorized(
-                args, batched, n, variant[0], variant[2]
-            )
+            return self._execute_vectorized(args, batched, n, variant)
         return self._execute_loop(args, batched, n)
 
     # -- vectorized backend -------------------------------------------------
@@ -251,8 +253,7 @@ class BatchedErrorEstimator:
         args: Sequence[object],
         batched: List[str],
         n: int,
-        raw: object,
-        lowered: Optional["NativeKernel"],
+        variant: _Variant,
     ) -> BatchReport:
         primal = self.est.primal_ir
         full: List[object] = []
@@ -276,7 +277,10 @@ class BatchedErrorEstimator:
 
                     v = round_to(float(a), dt)
                 full.append(v)
-        done, result = native.run(lowered, None, full)
+        raw, _, engine, lowered = variant
+        done, result = (
+            native.run(lowered, None, full) if engine else (False, None)
+        )
         if not done:
             with np.errstate(all="ignore"):
                 result = raw(*full)  # type: ignore[operator]

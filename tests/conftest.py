@@ -88,9 +88,10 @@ def serve_payload():
 
 @pytest.fixture(params=["native", "numpy"])
 def lane_engine(request, monkeypatch):
-    """Run config-lane kernels on the C interpreter, or with the
-    compiler taken away so every call takes the numpy path.  Kernel and
-    estimator caches are cleared around the test so neither engine's
+    """Run config-lane kernels on the C interpreter (straight-line
+    kernels included, which normally stay on the numpy path), or with
+    the compiler taken away so every call takes the numpy path.  Kernel
+    and estimator caches are cleared around the test so neither engine's
     kernels leak into the other's."""
     from repro.codegen import native
     from repro.codegen.compile import clear_config_kernel_cache
@@ -102,6 +103,7 @@ def lane_engine(request, monkeypatch):
         monkeypatch.setattr(native, "_LIB_FAILED", False)
     elif native.library() is None:
         pytest.skip("no C compiler for the native lane engine")
+    monkeypatch.setattr(native, "worth_lowering", lambda fn: True)
     clear_config_kernel_cache()
     clear_estimator_memo()
     before = (native.NATIVE_RUNS.value, native.NATIVE_FALLBACKS.value)

@@ -2,9 +2,10 @@
 
 The C lane interpreter (``repro.codegen.native`` + ``lanevm.c``) must
 return, lane for lane and bit for bit, what the numpy config-lane and
-input-sweep batch paths return — and where the numpy path raises, the native call must replay
-there and raise the same way.  Machines without a compiler keep the
-numpy path, counted as fallbacks.  Builds are content-addressed and
+input-sweep batch paths return — and where the numpy path raises, the
+native call must replay there and raise the same way.  Only kernels
+with a loop take the native engine; machines without a compiler keep
+the numpy path for them, counted as fallbacks.  Builds are content-addressed and
 safe under concurrent processes and forks.
 """
 
@@ -90,10 +91,12 @@ def _bits(a) -> np.ndarray:
 
 
 @pytest.fixture
-def lanes():
-    """A native-capable machine and a cold kernel cache."""
+def lanes(monkeypatch):
+    """A native-capable machine, a cold kernel cache, and every kernel
+    on the native engine (straight-line ones included)."""
     if native.library() is None:
         pytest.skip("no C compiler for the native lane engine")
+    monkeypatch.setattr(native, "worth_lowering", lambda fn: True)
     clear_config_kernel_cache()
     yield
     clear_config_kernel_cache()
@@ -235,6 +238,35 @@ def test_implicit_return_keeps_the_cycle_count(lanes):
     assert np.array_equal(
         np.broadcast_to(cost, (2, 3)), np.broadcast_to(want_cost, (2, 3))
     )
+
+
+# --------------------------------------------------------------------------
+# Engine choice: only kernels with a loop run natively
+# --------------------------------------------------------------------------
+
+
+def test_straight_line_kernels_stay_on_numpy_uncounted():
+    from repro.apps import blackscholes as bs
+    from repro.core.api import cached_error_estimator, clear_estimator_memo
+
+    if native.library() is None:
+        pytest.skip("no C compiler for the native lane engine")
+    clear_config_kernel_cache()
+    straight = config_lane_kernel(nv_store.ir, batched={"x"})
+    looped = config_lane_kernel(nv_mixed.ir, batched={"x"})
+    assert not straight.native_engine and straight.native is None
+    assert looped.native_engine and looped.native is not None
+    before = _counts()
+    straight(straight.lower([PrecisionConfig()]), np.array([0.1, 0.2]))
+    clear_estimator_memo()
+    est = cached_error_estimator(bs.bs_price)
+    rep = est.execute_batch(
+        np.linspace(25.0, 150.0, 5), 100.0, 0.05, 0.3, 0.5, 0
+    )
+    clear_estimator_memo()
+    clear_config_kernel_cache()
+    assert rep.backend == "vectorized"
+    assert _counts() == before  # neither native runs nor fallbacks
 
 
 # --------------------------------------------------------------------------
