@@ -13,6 +13,11 @@ Run as a script to (re)generate ``BENCH_sweep.json`` at the repo root::
 Under pytest the module runs a scaled-down smoke version of the same
 comparison (agreement is asserted tightly; the speedup assertion is
 conservative to stay robust on loaded CI machines).
+
+simpsons' scalar loop runs on the native scalar engine (its adjoint has
+a loop); the report records its native runs and fallbacks, and a
+fallback on a machine with a C compiler fails the script as a
+disagreement does, so a silent slide back to Python shows in CI.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ sys.path.insert(0, str(_REPO_ROOT / "src"))
 
 from repro.apps import blackscholes as bs  # noqa: E402
 from repro.apps import simpsons  # noqa: E402
+from repro.codegen import native  # noqa: E402
 from repro.experiments.sweep_bench import (  # noqa: E402
     SweepBenchResult,
     blackscholes_sweep,
@@ -100,10 +106,15 @@ def main(argv: List[str] | None = None) -> int:
             f"  speedup {r['speedup']:6.1f}x"
             f"  max_rel_diff {r['max_rel_diff']:.3g}"
             f"  [{r['backend']}]"
+            f"  loop native {r['loop_native_runs']}"
+            f" / fallbacks {r['loop_native_fallbacks']}"
         )
     print(f"wrote {args.out}")
+    # without a C compiler every loop call falls back, by design
+    engine = native.library() is not None
     ok = all(
         r["max_rel_diff"] <= MATCH_RTOL
+        and not (engine and r["loop_native_fallbacks"])
         for r in report["results"]  # type: ignore[union-attr]
     )
     return 0 if ok else 1
@@ -124,6 +135,8 @@ def test_sweep_simpsons_matches():
     r = run_simpsons(30)
     assert r.backend == "vectorized"
     assert r.max_rel_diff <= MATCH_RTOL
+    if native.library() is not None:
+        assert r.loop_native_fallbacks == 0
 
 
 if __name__ == "__main__":

@@ -75,21 +75,7 @@ class CompiledFunction:
         ``(value, extras_dict)`` instead, where ``extras_dict`` may hold
         ``"cost"`` and per-trace lists.
         """
-        if len(args) != len(self.fn.params):
-            raise ExecutionError(
-                f"{self.fn.name}: expected {len(self.fn.params)} arguments,"
-                f" got {len(args)}"
-            )
-        call_args = list(args)
-        if self._rounded_params:
-            from repro.fp.precision import round_to
-
-            for i, dt in self._rounded_params:
-                a = call_args[i]
-                if isinstance(a, np.ndarray):
-                    call_args[i] = np.asarray(round_to(a, dt))
-                elif isinstance(a, (int, float)):
-                    call_args[i] = round_to(float(a), dt)
+        call_args = self.prepare(args)
         writebacks: List[Tuple[np.ndarray, list]] = []
         for i in self._array_params:
             a = call_args[i]
@@ -118,6 +104,27 @@ class CompiledFunction:
             extras["cost"] = extras_vals[-1]
         primal = base[0] if len(base) == 1 else base
         return primal, extras
+
+    def prepare(self, args: Sequence[object]) -> List[object]:
+        """The arguments as the function body sees them, before arrays
+        become lists: parameters stored at reduced precision rounded
+        (an ndarray into a new array)."""
+        if len(args) != len(self.fn.params):
+            raise ExecutionError(
+                f"{self.fn.name}: expected {len(self.fn.params)} arguments,"
+                f" got {len(args)}"
+            )
+        call_args = list(args)
+        if self._rounded_params:
+            from repro.fp.precision import round_to
+
+            for i, dt in self._rounded_params:
+                a = call_args[i]
+                if isinstance(a, np.ndarray):
+                    call_args[i] = np.asarray(round_to(a, dt))
+                elif isinstance(a, (int, float)):
+                    call_args[i] = round_to(float(a), dt)
+        return call_args
 
 
 def compile_raw(

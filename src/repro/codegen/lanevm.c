@@ -26,6 +26,10 @@
  *     tapes), the interpreter stops with LVM_REPLAY and the caller
  *     re-runs the call on the numpy path.
  *
+ * lanevm_run1 runs the same bytecode on one lane with CPython's scalar
+ * semantics instead (see "the one-lane loop" below): it executes the
+ * scalar adjoint behind ErrorEstimator.execute.
+ *
  * Build: gcc -O2 -fno-fast-math -ffp-contract=off -shared -fPIC.
  */
 
@@ -990,5 +994,404 @@ done:
     free(vm.r);
     free(vm.tapes);
     free(abase);
+    return st;
+}
+
+/* -- the one-lane loop -------------------------------------------------- */
+
+/* lanevm_run1 executes a lowered scalar kernel (native.lower_scalar) on
+ * one lane, with the semantics of the generated Python it replaces:
+ *   - a register is a double plus the Python type of its value; int
+ *     arithmetic stays exact (or replays), `/` is true division, `//`
+ *     and `%` floor like Python's, `and`/`or` return an operand,
+ *     math.floor/ceil return ints and max/min the operand they pick;
+ *   - wherever Python would raise (a math domain or range error, a
+ *     zero divisor, int() of inf or NaN, a bad index or range, an empty
+ *     tape, an unbound name) or would hold a value a double cannot (an
+ *     int past 2**53), the run stops with LVM_REPLAY and the caller
+ *     re-runs the call in Python;
+ *   - parameter arrays are the caller's private copies (values and
+ *     kinds), written in place; tapes are flat growable stacks.
+ */
+
+#define KU 4 /* unbound: a read replays (Python raises) */
+#define IS_INT(k) ((k) == KI || (k) == KB) /* bools are ints */
+
+typedef struct {
+    double *v;
+    int8_t *k;
+    int64_t len, cap;
+} Stack;
+
+static int stack_push(Stack *s, double v, int8_t k)
+{
+    if (s->len == s->cap) {
+        int64_t cap = s->cap ? 2 * s->cap : 1024;
+        double *nv = (double *)realloc(s->v, sizeof(double) * (size_t)cap);
+        if (!nv)
+            return LVM_NOMEM;
+        s->v = nv;
+        int8_t *nk = (int8_t *)realloc(s->k, (size_t)cap);
+        if (!nk)
+            return LVM_NOMEM;
+        s->k = nk;
+        s->cap = cap;
+    }
+    s->v[s->len] = v;
+    s->k[s->len++] = k;
+    return LVM_OK;
+}
+
+/* math_1's rule: a NaN from a non-NaN argument is a domain error, an
+ * infinity from a finite one a range error */
+static inline int math_raises(double x, double r)
+{
+    return (isnan(r) && !isnan(x)) || (isinf(r) && isfinite(x));
+}
+
+/* one intrinsic call; returns LVM_OK or LVM_REPLAY */
+static int call1(int fn, double x, int8_t kx, double y, int8_t ky,
+                 double *v, int8_t *kv)
+{
+    double r;
+    *kv = KF;
+    switch (fn) {
+    case FN_SIN: r = sin(x); break;
+    case FN_COS: r = cos(x); break;
+    case FN_TAN: r = tan(x); break;
+    case FN_ASIN: r = asin(x); break;
+    case FN_ACOS: r = acos(x); break;
+    case FN_ATAN: r = atan(x); break;
+    case FN_TANH: r = tanh(x); break;
+    case FN_SINH: r = sinh(x); break;
+    case FN_COSH: r = cosh(x); break;
+    case FN_ERF: r = erf(x); break;
+    case FN_ERFC: r = erfc(x); break;
+    case FN_EXP: r = exp(x); break;
+    case FN_LOG: r = log(x); break;
+    case FN_LOG2: r = log2(x); break;
+    case FN_SQRT: r = sqrt(x); break;
+    case FN_EXP2:
+    case FN_POW:
+        /* `2.0 ** p` and math.pow special-case non-finite operands
+         * themselves and raise on a non-finite result */
+        r = pow(fn == FN_EXP2 ? 2.0 : x, fn == FN_EXP2 ? x : y);
+        if (!isfinite(x) || !isfinite(y) || !isfinite(r))
+            return LVM_REPLAY;
+        *v = r;
+        return LVM_OK;
+    case FN_FABS: *v = fabs(x); return LVM_OK;
+    case FN_COPYSIGN: *v = copysign(x, y); return LVM_OK;
+    case FN_STEP_GE: *v = (x >= y) ? 1.0 : 0.0; return LVM_OK;
+    case FN_FLOOR:
+    case FN_CEIL:
+        /* an int; int(inf) and int(nan) raise */
+        r = (fn == FN_FLOOR ? floor(x) : ceil(x)) + 0.0;
+        if (!(fabs(r) < INT_LIMIT))
+            return LVM_REPLAY;
+        *v = r;
+        *kv = KI;
+        return LVM_OK;
+    /* max(x, y) keeps x unless y > x; min unless y < x */
+    case FN_FMAX:
+        *v = (y > x) ? y : x;
+        *kv = (y > x) ? ky : kx;
+        return LVM_OK;
+    case FN_FMIN:
+        *v = (y < x) ? y : x;
+        *kv = (y < x) ? ky : kx;
+        return LVM_OK;
+    default:
+        return LVM_REPLAY;
+    }
+    if (math_raises(x, r))
+        return LVM_REPLAY;
+    *v = r;
+    return LVM_OK;
+}
+
+/*
+ * hdr:     nregs, nparams, nstacks
+ * pval:    per parameter its value, pkind its kind (scalars)
+ * adata:   per parameter the address of its array's values (double)
+ *          and akind of their kinds (int8), 0 for scalars; alen the
+ *          lengths.  Both are written in place.
+ * out:     returned values, outkind their kinds
+ * outmeta: [0] number of values, [1] tape high-water bytes
+ */
+int lanevm_run1(const int32_t *code, const double *imm, const int8_t *imm_kind,
+                const int64_t *hdr, const double *pval, const int8_t *pkind,
+                const int64_t *adata, const int64_t *akind, const int64_t *alen,
+                double *out, int8_t *outkind, int64_t *outmeta)
+{
+    int64_t nregs = hdr[0], nparams = hdr[1], nstacks = hdr[2];
+    double *V = (double *)calloc((size_t)(nregs ? nregs : 1), sizeof(double));
+    int8_t *K = (int8_t *)malloc((size_t)(nregs ? nregs : 1));
+    Stack *S = (Stack *)calloc((size_t)(nstacks ? nstacks : 1), sizeof(Stack));
+    int st = LVM_OK;
+    outmeta[0] = 0;
+    outmeta[1] = 0;
+    if (!V || !K || !S) {
+        st = LVM_NOMEM;
+        goto done;
+    }
+    memset(K, KU, (size_t)nregs);
+    for (int64_t p = 0; p < nparams; p++) {
+        V[p] = pval[p];
+        K[p] = pkind[p];
+    }
+
+    int64_t pc = 0;
+    for (;;) {
+        const int32_t *in = code + pc;
+        int op = in[0];
+        switch (op) {
+        case OP_LDI:
+            V[in[1]] = imm[in[2]];
+            K[in[1]] = imm_kind[in[2]];
+            pc += 3;
+            continue;
+        case OP_MOV:
+        case OP_TAKE:
+            if (K[in[2]] == KU)
+                goto replay;
+            V[in[1]] = V[in[2]];
+            K[in[1]] = K[in[2]];
+            pc += 3;
+            continue;
+        case OP_ADD: case OP_SUB: case OP_MUL: case OP_DIV:
+        case OP_FLOORDIV: case OP_MOD: {
+            int8_t ka = K[in[2]], kb = K[in[3]];
+            double x = V[in[2]], y = V[in[3]], v;
+            if (ka > KB || kb > KB)
+                goto replay;
+            switch (op) {
+            case OP_ADD: v = x + y; break;
+            case OP_SUB: v = x - y; break;
+            case OP_MUL: v = x * y; break;
+            default:
+                if (y == 0.0)
+                    goto replay; /* ZeroDivisionError */
+                if (op == OP_DIV) {
+                    V[in[1]] = x / y; /* true division: a float */
+                    K[in[1]] = KF;
+                    pc += 4;
+                    continue;
+                }
+                {
+                    double q, m;
+                    py_divmod(x, y, &q, &m);
+                    v = op == OP_FLOORDIV ? q : m;
+                }
+            }
+            if (ka == KF || kb == KF) {
+                K[in[1]] = KF;
+            } else {
+                v += 0.0; /* ints have no negative zero */
+                if (!(fabs(v) < INT_LIMIT))
+                    goto replay;
+                K[in[1]] = KI;
+            }
+            V[in[1]] = v;
+            pc += 4;
+            continue;
+        }
+        case OP_EQ: case OP_NE: case OP_LT: case OP_LE: case OP_GT: case OP_GE: {
+            double x = V[in[2]], y = V[in[3]];
+            int c;
+            if (K[in[2]] > KB || K[in[3]] > KB)
+                goto replay;
+            switch (op) {
+            case OP_EQ: c = x == y; break;
+            case OP_NE: c = x != y; break;
+            case OP_LT: c = x < y; break;
+            case OP_LE: c = x <= y; break;
+            case OP_GT: c = x > y; break;
+            default: c = x >= y; break;
+            }
+            V[in[1]] = c ? 1.0 : 0.0;
+            K[in[1]] = KB;
+            pc += 4;
+            continue;
+        }
+        case OP_AND:
+        case OP_OR: {
+            /* `a and b` is b if a is truthy, else a; `or` the reverse */
+            int a = in[2], b = in[3];
+            if (K[a] > KB || K[b] > KB)
+                goto replay;
+            int pick_b = (V[a] != 0.0) == (op == OP_AND);
+            int s = pick_b ? b : a;
+            V[in[1]] = V[s];
+            K[in[1]] = K[s];
+            pc += 4;
+            continue;
+        }
+        case OP_NEG: case OP_NOT: case OP_C32: case OP_C16: case OP_CI64: {
+            int8_t ka = K[in[2]];
+            double x = V[in[2]], v;
+            int8_t kv = KF;
+            if (ka > KB)
+                goto replay;
+            switch (op) {
+            case OP_NEG:
+                v = -x;
+                if (ka != KF) { /* -True is -1 */
+                    v += 0.0;
+                    kv = KI;
+                }
+                break;
+            case OP_NOT:
+                v = (x == 0.0) ? 1.0 : 0.0;
+                kv = KB;
+                break;
+            case OP_C32:
+                v = (double)(float)x;
+                if (isinf(v) && !isinf(x))
+                    goto replay; /* struct.pack raises at the tie */
+                break;
+            case OP_C16:
+                v = (double)(_Float16)x;
+                break;
+            default: /* int(): truncates; raises on inf and NaN */
+                v = trunc(x) + 0.0;
+                if (!(fabs(v) < INT_LIMIT))
+                    goto replay;
+                kv = KI;
+            }
+            V[in[1]] = v;
+            K[in[1]] = kv;
+            pc += 3;
+            continue;
+        }
+        case OP_CALL: {
+            int a = in[3], b = in[4] < 0 ? in[3] : in[4];
+            if (K[a] > KB || K[b] > KB)
+                goto replay;
+            double v;
+            int8_t kv;
+            if (call1(in[2], V[a], K[a], V[b], K[b], &v, &kv) != LVM_OK)
+                goto replay;
+            V[in[1]] = v;
+            K[in[1]] = kv;
+            pc += 5;
+            continue;
+        }
+        case OP_PUSH:
+            if (K[in[2]] == KU)
+                goto replay;
+            st = stack_push(&S[in[1]], V[in[2]], K[in[2]]);
+            if (st != LVM_OK)
+                goto done;
+            pc += 3;
+            continue;
+        case OP_POP: {
+            Stack *s = &S[in[2]];
+            if (s->len == 0)
+                goto replay; /* pop from an empty list raises */
+            s->len--;
+            if (in[1] >= 0) {
+                V[in[1]] = s->v[s->len];
+                K[in[1]] = s->k[s->len];
+            }
+            pc += 3;
+            continue;
+        }
+        case OP_JMP:
+            pc = in[1];
+            continue;
+        case OP_JF:
+            if (K[in[1]] > KB)
+                goto replay;
+            pc = (V[in[1]] != 0.0) ? pc + 3 : in[2];
+            continue;
+        case OP_FORPREP: {
+            /* range() takes ints and a nonzero step */
+            int h = in[1];
+            if (!IS_INT(K[in[2]]) || !IS_INT(K[in[3]]) || !IS_INT(K[in[4]])
+                || V[in[4]] == 0.0)
+                goto replay;
+            V[h] = V[in[2]];
+            V[h + 1] = V[in[3]];
+            V[h + 2] = V[in[4]];
+            pc += 5;
+            continue;
+        }
+        case OP_FORNEXT: {
+            int h = in[2];
+            double cur = V[h], hi = V[h + 1], step = V[h + 2];
+            if (step > 0 ? cur < hi : cur > hi) {
+                V[in[1]] = cur;
+                K[in[1]] = KI;
+                V[h] = cur + step;
+                pc += 4;
+            } else {
+                pc = in[3];
+            }
+            continue;
+        }
+        case OP_LDX:
+        case OP_STX: {
+            int ld = op == OP_LDX;
+            int64_t p = in[ld ? 2 : 1];
+            int ri = in[ld ? 3 : 2];
+            double *data = (double *)(intptr_t)adata[p];
+            int8_t *kinds = (int8_t *)(intptr_t)akind[p];
+            /* a negative index counts from the end in Python: rare,
+             * replayed */
+            if (!data || !IS_INT(K[ri]) || V[ri] < 0
+                || V[ri] >= (double)alen[p])
+                goto replay;
+            int64_t i = (int64_t)V[ri];
+            if (ld) {
+                V[in[1]] = data[i];
+                K[in[1]] = kinds[i];
+            } else {
+                if (K[in[3]] > KB)
+                    goto replay;
+                data[i] = V[in[3]];
+                kinds[i] = K[in[3]];
+            }
+            pc += 4;
+            continue;
+        }
+        case OP_RET: {
+            int64_t n = in[1];
+            for (int64_t j = 0; j < n; j++) {
+                int r = in[2 + j];
+                if (K[r] == KU)
+                    goto replay;
+                out[j] = V[r];
+                outkind[j] = K[r];
+            }
+            outmeta[0] = n;
+            goto done;
+        }
+        case OP_DROP:
+        case OP_DROPL: {
+            const int32_t *l = op == OP_DROP ? in + 1 : code + in[1];
+            for (int64_t j = 0; j < l[0]; j++)
+                K[l[1 + j]] = KU;
+            pc += op == OP_DROP ? 2 + in[1] : 2;
+            continue;
+        }
+        default:
+            goto replay;
+        }
+    }
+replay:
+    st = LVM_REPLAY;
+done:
+    if (S) {
+        for (int64_t i = 0; i < nstacks; i++) {
+            /* tapes only grow: their final capacity is the high water */
+            outmeta[1] += S[i].cap * (int64_t)(sizeof(double) + 1);
+            free(S[i].v);
+            free(S[i].k);
+        }
+    }
+    free(S);
+    free(V);
+    free(K);
     return st;
 }

@@ -1,4 +1,4 @@
-"""Native execution of config-lane kernels.
+"""Native execution of config-lane, batch and scalar kernels.
 
 :mod:`repro.codegen.npgen` renders a config-lane kernel as numpy source,
 where every IR operation is one numpy dispatch.  This module lowers the
@@ -30,13 +30,26 @@ lane per input point, static rounding) are lowered the same way, from
 ``_BatchGen``'s traversal and cast rules, and run on the same
 interpreter.
 
+The scalar functions ``pygen`` renders — the adjoint behind
+``ErrorEstimator.execute`` — are lowered by :func:`lower_scalar`: the
+batch traversal with nothing swept (every branch a real jump), plus
+parameter-array element reads, writes and pops.  They run on the
+library's one-lane loop (``lanevm_run1``), whose registers are doubles
+tagged with a Python type and whose semantics are CPython's scalar
+ones: it replays in Python wherever Python would raise or hold a value
+a double cannot.  :class:`ScalarKernel` marshals ndarray parameters by
+dtype into private copies and writes float arrays back only on
+success; ``core.api._AdjointRunner`` decides when to use it (from an
+adjoint's second call).
+
 Only kernels with a loop take the native engine (:func:`worth_lowering`);
-straight-line ones stay on the numpy path.  Of the kernels with a loop,
-those the interpreter does not cover (external error models, FastApprox
-intrinsics, sensitivity traces) and all of them on machines without a
-compiler or a writable cache run the numpy path; every such call counts
-in ``repro_native_fallbacks_total``, every native one in
-``repro_native_lane_runs_total``.
+straight-line ones stay on the numpy or Python path.  Of the kernels
+with a loop, those the interpreter does not cover (external error
+models, FastApprox intrinsics, sensitivity traces), calls with
+arguments it does not marshal, replays, and all of them on machines
+without a compiler or a writable cache run the numpy or Python path;
+every such call counts in ``repro_native_fallbacks_total``, every
+native one in ``repro_native_lane_runs_total``.
 """
 
 from __future__ import annotations
@@ -73,12 +86,13 @@ FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-shared", "-fPIC")
 
 NATIVE_RUNS = obs_metrics.REGISTRY.counter(
     "repro_native_lane_runs_total",
-    "config-lane and batch kernel calls run by the native interpreter",
+    "config-lane, batch and scalar-adjoint kernel calls run by the "
+    "native interpreter",
 )
 NATIVE_FALLBACKS = obs_metrics.REGISTRY.counter(
     "repro_native_fallbacks_total",
-    "calls of config-lane and batch kernels with loops that ran on "
-    "the numpy path",
+    "calls of kernels with loops that ran on the numpy or Python path "
+    "instead (scalar adjoints from their second call)",
 )
 
 # -- opcodes, value kinds and intrinsic ids (mirror lanevm.c) -----------
@@ -191,6 +205,9 @@ def library() -> Optional[ctypes.CDLL]:
         fn = lib.lanevm_run
         fn.argtypes = [ctypes.c_void_p] * 15
         fn.restype = ctypes.c_int
+        one = lib.lanevm_run1
+        one.argtypes = [ctypes.c_void_p] * 12
+        one.restype = ctypes.c_int
         lib.lanevm_free.argtypes = [ctypes.c_void_p]
         lib.lanevm_free.restype = None
         _LIB = lib
@@ -706,8 +723,16 @@ class _BatchLowering(_LaneLowering):
     parameters taint branches.
     """
 
-    def __init__(self, fn: N.Function, batched: Set[str]) -> None:
-        _BatchGen.__init__(self, fn, set(batched))
+    def __init__(
+        self,
+        fn: N.Function,
+        batched: Set[str],
+        allow_arrays: bool = False,
+        taint: Optional[Tuple[Set[str], Set[str]]] = None,
+    ) -> None:
+        _BatchGen.__init__(
+            self, fn, set(batched), allow_arrays=allow_arrays, taint=taint
+        )
         self.counting = False
         self.var_baseline = {}
         self.round_sites, self.charge_sites, self.const_sites = [], [], []
@@ -781,14 +806,84 @@ def lower_batch(
     return NativeKernel(gen)
 
 
-def run(
-    kernel: Optional["NativeKernel"], pool, args: Sequence[object]
-) -> Tuple[bool, object]:
+class _ScalarLowering(_BatchLowering):
+    """Bytecode twin of ``pygen``'s rendering: the scalar adjoint
+    behind ``ErrorEstimator.execute``, for ``lanevm_run1``.
+
+    The batch traversal with nothing swept, so every branch is a real
+    jump and rounding is ``_BatchGen``'s static casts (the ones
+    ``pygen`` places), plus what only the scalar path has: reads and
+    writes of parameter-array elements and pops into them.
+    """
+
+    def __init__(self, fn: N.Function) -> None:
+        super().__init__(fn, set(), allow_arrays=True, taint=(set(), set()))
+
+    def _expr_raw(  # type: ignore[override]
+        self, e: N.Expr, dst: Optional[int] = None
+    ) -> int:
+        if isinstance(e, N.Index):
+            return _LaneLowering._expr_raw(self, e, dst)
+        return super()._expr_raw(e, dst)
+
+    def _array(self, target: N.Index) -> int:
+        if target.base not in self.arrays:
+            raise NativeUnsupported(f"local array {target.base!r}")
+        return self.arrays[target.base]
+
+    def _store(  # type: ignore[override]
+        self, target: N.LValue, value: N.Expr
+    ) -> None:
+        if isinstance(target, N.Name):
+            super()._store(target, value)
+            return
+        v = self.expr(value)
+        tdt = self.store_cast(target, value)  # type: ignore[arg-type]
+        if tdt is not None:
+            c = self._temp()
+            self._op(_CASTS[tdt], c, v)
+            v = c
+        self._op(OP_STX, self._array(target), self.expr(target.index), v)
+
+    def _stmt(self, s: N.Stmt) -> None:
+        if isinstance(s, N.Pop) and isinstance(s.target, N.Index):
+            t = self._temp()
+            self._op(OP_POP, t, self._stack(s.stack))
+            idx = self.expr(s.target.index)
+            self._op(OP_STX, self._array(s.target), idx, t)
+            return
+        super()._stmt(s)
+
+    # registers hold no buffers here: nothing to drop
+    def _drop(self, regs: Sequence[int]) -> None:
+        pass
+
+    def _top_level(self, body: Sequence[N.Stmt]) -> None:
+        self.body(body)
+        if not body or not isinstance(body[-1], (N.Return, N.ReturnTuple)):
+            self._emit_return([self._load(None, KN, None)])
+
+
+def lower_scalar(fn: N.Function) -> Optional["ScalarKernel"]:
+    """Lower the scalar function ``generate_source(fn)`` renders for the
+    one-lane loop, or ``None`` (see :func:`lower`)."""
+    if library() is None:
+        return None
+    gen = _ScalarLowering(fn)
+    try:
+        gen.emit()
+    except NativeUnsupported:
+        return None
+    return ScalarKernel(gen)
+
+
+def run(kernel: Optional[object], *call: object) -> Tuple[bool, object]:
     """Run ``kernel`` natively if it can, counting the outcome: ``(True,
     result)``, or ``(False, None)`` when the caller must take the numpy
-    path (no native kernel, or a call to replay there)."""
+    or Python path (no native kernel, or a call to replay there).
+    ``call`` is what the kernel's ``run`` takes."""
     if kernel is not None:
-        done, result = kernel.run(pool, args)
+        done, result = kernel.run(*call)  # type: ignore[attr-defined]
         if done:
             NATIVE_RUNS.inc()
             return True, result
@@ -988,3 +1083,99 @@ def _result(lib, scalar: float, meta: List[int], k: int, n: int) -> object:
     out = v.astype(np.int64 if kind == KI else bool).reshape(shape)
     lib.lanevm_free(ptr)
     return out
+
+
+# -- the one-lane loop ---------------------------------------------------
+
+#: scalar argument kinds, by exact type: a float subclass such as
+#: np.float64 computes with numpy's semantics in Python, so it stays there
+_SCALAR_KINDS = {float: KF, int: KI, bool: KB}
+#: array dtypes by kind; float widths up to double widen exactly
+_ARRAY_DTYPE_KINDS = {"f": KF, "i": KI, "u": KI, "b": KB}
+_PY_TYPES = (float, int, bool, lambda v: None)
+
+
+def _marshal_array(a: object) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """A private copy of a 1-D ndarray parameter as (values, kinds), the
+    elements its ``tolist()`` would give the Python path; ``None`` for
+    anything else (lists included, and read-only arrays, which the
+    Python path's write-back rejects)."""
+    if not isinstance(a, np.ndarray) or a.ndim != 1 or not a.flags.writeable:
+        return None
+    kind = _ARRAY_DTYPE_KINDS.get(a.dtype.kind)
+    if kind is None or a.dtype.itemsize > 8:
+        return None
+    values = a.astype(np.float64)
+    if kind == KI and len(a) and np.abs(values).max() >= _INT_LIMIT:
+        return None
+    return values, np.full(len(a), kind, np.int8)
+
+
+class ScalarKernel:
+    """Bytecode of one scalar function plus its calling convention."""
+
+    def __init__(self, gen: _ScalarLowering) -> None:
+        self.n_params = len(gen.fn.params)
+        self.array_params = frozenset(gen.arrays.values())
+        self.code = np.asarray(gen.code, dtype=np.int32)
+        self.imm = np.asarray(gen.imm or [0.0], dtype=np.float64)
+        self.imm_kind = np.asarray(gen.imm_kind or [0], dtype=np.int8)
+        self.hdr = np.array(
+            [gen.nregs, self.n_params, len(gen.stack_ids)], np.int64
+        )
+        self.max_ret = gen.max_ret
+
+    def run(self, args: Sequence[object]) -> Tuple[bool, object]:
+        """Execute with entry-rounded arguments: ``(True, (result,
+        tape_bytes))``, ``tape_bytes`` being the high water of the
+        tapes, or ``(False, None)`` when the call must run in Python.
+        Parameter arrays are written back only on success."""
+        lib = library()
+        if lib is None or len(args) != self.n_params:
+            return False, None
+        n = max(self.n_params, 1)
+        pval = np.zeros(n, np.float64)
+        pkind = np.zeros(n, np.int8)
+        ptrs = np.zeros((3, n), np.int64)  # values, kinds, length
+        arrays = []
+        for i, a in enumerate(args):
+            if i in self.array_params:
+                copy = _marshal_array(a)
+                if copy is None:
+                    return False, None
+                arrays.append((a, *copy))
+                ptrs[:, i] = (copy[0].ctypes.data, copy[1].ctypes.data, len(a))
+                continue
+            kind = _SCALAR_KINDS.get(type(a))
+            if kind is None or (kind == KI and abs(a) >= _INT_LIMIT):
+                return False, None
+            pval[i] = a
+            pkind[i] = kind
+        out = np.empty(self.max_ret, np.float64)
+        out_kind = np.empty(self.max_ret, np.int8)
+        meta = np.zeros(2, np.int64)
+        status = lib.lanevm_run1(
+            self.code.ctypes.data, self.imm.ctypes.data,
+            self.imm_kind.ctypes.data, self.hdr.ctypes.data,
+            pval.ctypes.data, pkind.ctypes.data, ptrs[0].ctypes.data,
+            ptrs[1].ctypes.data, ptrs[2].ctypes.data, out.ctypes.data,
+            out_kind.ctypes.data, meta.ctypes.data,
+        )
+        if status != 0:
+            return False, None
+        # Python writes its lists back with `orig[:] = lst`: a float
+        # array takes the values as they are; an int or bool array the
+        # kernel changed is rare and left to Python, which converts
+        for orig, values, _ in arrays:
+            if orig.dtype.kind != "f" and not np.array_equal(values, orig):
+                return False, None
+        for orig, values, _ in arrays:
+            if orig.dtype.kind == "f":
+                orig[:] = values
+        count = int(meta[0])
+        result = [
+            _PY_TYPES[k](v)
+            for v, k in zip(out[:count].tolist(), out_kind[:count].tolist())
+        ]
+        value = result[0] if count == 1 else tuple(result)
+        return True, (value, int(meta[1]))

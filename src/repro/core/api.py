@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.codegen import native
 from repro.codegen.compile import CompiledFunction, compile_raw
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -100,6 +101,48 @@ class _AdjointRunner:
             )
         _BUILD_SECONDS.observe(time.perf_counter() - t0)
         self._n_primal_params = len(primal.params)
+        # the native scalar engine (see _run): external error models
+        # bind Python callables, so they stay on the Python path
+        self._loops = native.worth_lowering(adjoint)
+        self._python_only = bool(extra_bindings)
+        self._native: Optional[native.ScalarKernel] = None
+        self._lowered = False
+        self._called = False
+        #: tape high water (bytes) of the last native run, 0 after a
+        #: Python one: C tapes are invisible to tracemalloc
+        self.tape_bytes = 0
+
+    def lower(self) -> None:
+        """Lower the adjoint for the native scalar engine now — build
+        work, so that the next call already runs natively.  Threads
+        racing here lower twice and keep either, equal, kernel."""
+        if not self._lowered:
+            if self._loops and not self._python_only:
+                self._native = native.lower_scalar(self.adjoint)
+            self._lowered = True
+
+    def _run(self, args: List[object]) -> object:
+        """One call of the compiled adjoint.
+
+        An adjoint with a loop runs on the native scalar engine from its
+        second call (or once :meth:`lower` ran): lowering costs more
+        than a one-shot caller's whole Python run.  A call the engine
+        cannot take (arguments it does not marshal, or a replay) runs
+        here in Python on the untouched arguments, counted as a
+        fallback; adjoints without a loop are never lowered nor counted.
+        """
+        if self._loops and (self._lowered or self._called):
+            self.lower()
+            kern = self._native
+            done, out = native.run(
+                kern, self.compiled.prepare(args) if kern else ()
+            )
+            if done:
+                result, self.tape_bytes = out  # type: ignore[misc]
+                return result
+        self._called = True
+        self.tape_bytes = 0
+        return self.compiled(*args)
 
     @property
     def generated_source(self) -> str:
@@ -124,7 +167,7 @@ class _AdjointRunner:
                 g = np.zeros(n, dtype=np.float64)
                 array_grads[p.name] = g
                 full_args.append(g)
-        result = self.compiled(*full_args)
+        result = self._run(full_args)
         if self.compiled.traces:
             base, extras = result  # type: ignore[misc]
             traces = {k: v for k, v in extras.items() if k != "cost"}
@@ -468,9 +511,10 @@ def _work_stats() -> Dict[str, int]:
     """Process-cumulative build-side work counters (behind
     ``Session.stats()["work"]``): adjoint builds, estimator builds
     (adjoint build + compile), config-batched estimates that fell
-    back to one estimator per configuration, and calls of config-lane
-    and input-sweep batch kernels with loops run by the native
-    interpreter or, instead, on the numpy path."""
+    back to one estimator per configuration, and calls of kernels with
+    loops (config-lane and input-sweep batch kernels, and scalar
+    adjoints from their second call) run by the native interpreter or,
+    instead, on the numpy or Python path."""
     from repro.codegen.native import NATIVE_FALLBACKS, NATIVE_RUNS
     from repro.sweep.batch import _CB_FALLBACKS
 

@@ -5,7 +5,9 @@ vectorized N-point error sweep versus the naive Python loop of
 single-input ``ErrorEstimator.execute`` calls, with per-point agreement
 checked at the same time (the batch backend is built to reproduce the
 scalar path bit-for-bit; the benchmark records the observed worst
-relative difference rather than assuming it).
+relative difference rather than assuming it).  For a kernel with loops
+the scalar loop runs on the native scalar engine; the result records
+how many of its calls did, and how many fell back to Python.
 
 ``benchmarks/bench_sweep.py`` drives this to emit ``BENCH_sweep.json``.
 """
@@ -18,6 +20,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.codegen.native import NATIVE_FALLBACKS, NATIVE_RUNS
 from repro.core.api import ErrorEstimator
 from repro.core.models import AdaptModel, ErrorModel
 from repro.frontend.registry import Kernel
@@ -40,6 +43,10 @@ class SweepBenchResult:
     #: worst relative difference between per-point batched and scalar
     #: results (over value, total_error, and every per-variable entry)
     max_rel_diff: float
+    #: scalar-loop calls run by the native engine, and those of a kernel
+    #: with loops that fell back to Python (0 unless something is off)
+    loop_native_runs: int = 0
+    loop_native_fallbacks: int = 0
     speedup: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -115,14 +122,17 @@ def run_sweep_benchmark(
         for nm in names
     ]
 
-    # warm both paths: compile the batched variant, trigger lazy imports
+    # warm both paths: compile the batched variant, lower the scalar
+    # adjoint for the native engine, trigger lazy imports
     est.execute_batch(*warm_args)
+    est._runner.lower()
     est.execute(*point_args(0))
 
     t0 = time.perf_counter()
     batch = est.execute_batch(*batch_args)
     batched_s = time.perf_counter() - t0
 
+    runs, fallbacks = NATIVE_RUNS.value, NATIVE_FALLBACKS.value
     t0 = time.perf_counter()
     scalar_reports = [est.execute(*point_args(i)) for i in range(n)]
     loop_s = time.perf_counter() - t0
@@ -134,6 +144,8 @@ def run_sweep_benchmark(
         loop_s=loop_s,
         backend=batch.backend,
         max_rel_diff=compare_batch_to_loop(batch, scalar_reports),
+        loop_native_runs=NATIVE_RUNS.value - runs,
+        loop_native_fallbacks=NATIVE_FALLBACKS.value - fallbacks,
     )
 
 

@@ -3,10 +3,13 @@
 The C lane interpreter (``repro.codegen.native`` + ``lanevm.c``) must
 return, lane for lane and bit for bit, what the numpy config-lane and
 input-sweep batch paths return — and where the numpy path raises, the
-native call must replay there and raise the same way.  Only kernels
-with a loop take the native engine; machines without a compiler keep
-the numpy path for them, counted as fallbacks.  Builds are content-addressed and
-safe under concurrent processes and forks.
+native call must replay there and raise the same way.  Its one-lane
+loop must return what the generated Python behind
+``ErrorEstimator.execute`` returns, value and Python type, and replay
+there where Python raises.  Only kernels with a loop take the native
+engine; machines without a compiler keep the numpy or Python path for
+them, counted as fallbacks.  Builds are content-addressed and safe
+under concurrent processes and forks.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import sys
 import threading
 import time
 import warnings
-from math import exp, log, sin  # noqa: F401 - resolve the DSL intrinsics
+from math import exp, floor, log, sin, sqrt  # noqa: F401 - DSL intrinsics
 from pathlib import Path
 
 import numpy as np
@@ -403,3 +406,346 @@ def test_fork_while_the_build_lock_is_held(lanes):
     finally:
         release.set()
         t.join()
+
+
+# --------------------------------------------------------------------------
+# The scalar engine: ErrorEstimator.execute from its second call
+# --------------------------------------------------------------------------
+
+
+@register_kernel
+def ns_sqrt(n: int, x: float) -> float:
+    s = 0.0
+    for i in range(n):
+        s = s + sqrt(x)
+    return s
+
+
+@register_kernel
+def ns_div(n: int, x: float) -> float:
+    s = 0.0
+    for i in range(n):
+        s = s + 1.0 / x
+    return s
+
+
+@register_kernel
+def ns_exp(n: int, x: float) -> float:
+    s = 0.0
+    for i in range(n):
+        s = s + exp(x)
+    return s
+
+
+@register_kernel
+def ns_big(n: int, x: float) -> float:
+    s = 0.0
+    for i in range(3):
+        m = n * n + 1
+        s = s + x * (m - n * n)  # exact in Python ints, 0 in doubles
+    return s
+
+
+@register_kernel
+def ns_floor(n: int, x: float) -> float:
+    s = 0.0
+    for i in range(n):
+        s = floor(x * i)
+    return s
+
+
+@register_kernel
+def ns_max(n: int, x: float) -> float:
+    s = 0.0
+    for i in range(n):
+        s = fmax(i, x)  # noqa: F821 - DSL intrinsic
+    return s
+
+
+@register_kernel
+def ns_ints(n: int, a: "i64[]", x: float) -> float:
+    s = 0.0
+    for i in range(n):
+        a[i] = a[i] + 1
+        s = s + x * a[i]
+    return s
+
+
+@register_kernel
+def ns_marks(n: int, a: "i64[]", x: float) -> float:
+    s = 0.0
+    for i in range(n):
+        s = s + x
+    a[0] = 7  # never read back: the adjoint keeps the store
+    return s
+
+
+@pytest.fixture
+def scalar_engine():
+    """A native-capable machine; estimators are built fresh per test."""
+    if native.library() is None:
+        pytest.skip("no C compiler for the native scalar engine")
+
+
+def _app_args(app):
+    from repro.apps import blackscholes, hpccg, kmeans
+
+    return {
+        "arclength": lambda: (300, math.pi / 300 * 0.8),
+        "simpsons": lambda: (300, 0.1, 3.0),
+        "kmeans": lambda: kmeans.make_workload(40, seed=7),
+        "hpccg": lambda: hpccg.make_workload(2, max_iter=6),
+        "blackscholes": lambda: blackscholes.make_workload(60, seed=7),
+    }[app]()
+
+
+def _assert_identical(a, b):
+    """Equal bit for bit and type for type, recursively."""
+    assert type(a) is type(b), (a, b)
+    if isinstance(a, dict):
+        assert list(a) == list(b)
+        for k in a:
+            _assert_identical(a[k], b[k])
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_identical(x, y)
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    elif isinstance(a, float):
+        assert _bits(a) == _bits(b)
+    else:
+        assert a == b
+
+
+def _report_fields(rep):
+    return [
+        getattr(rep, f)
+        for f in ("value", "total_error", "per_variable", "gradients", "traces")
+        if hasattr(rep, f)
+    ]
+
+
+def _python_then_native(make, args, counted=(1, 0)):
+    """The first call of a fresh estimator (the Python path) and its
+    second (the scalar engine), each on its own copy of ``args``:
+    ``(python, native)`` as (report, args) pairs."""
+    est = make()
+
+    def copy():
+        return tuple(
+            a.copy() if isinstance(a, np.ndarray) else a for a in args
+        )
+
+    first = copy()
+    python = est.execute(*first)
+    runs, fallbacks = _counts()
+    second = copy()
+    nat = est.execute(*second)
+    assert _counts() == (runs + counted[0], fallbacks + counted[1])
+    return (python, first), (nat, second)
+
+
+class TestScalarEngine:
+    @pytest.mark.parametrize(
+        "app", ["arclength", "simpsons", "kmeans", "hpccg", "blackscholes"]
+    )
+    def test_apps_match_the_python_path(self, scalar_engine, app):
+        from repro.apps import ALL_APPS
+        from repro.core.api import ErrorEstimator
+
+        kern = ALL_APPS[app].INSTRUMENTED
+        args = _app_args(app)
+        (py, py_args), (nat, nat_args) = _python_then_native(
+            lambda: ErrorEstimator(kern), args
+        )
+        _assert_identical(_report_fields(py), _report_fields(nat))
+        # arrays are written in place alike: hpccg's forward sweep
+        # overwrites x, r, p and Ap, and its reverse sweep pops every
+        # element back
+        _assert_identical(list(py_args), list(nat_args))
+        _assert_identical(list(nat_args), list(args))
+
+    def test_gradient_matches_the_python_path(self, scalar_engine):
+        import repro
+        from repro.apps import kmeans
+
+        args = _app_args("kmeans")
+        (py, _), (nat, _) = _python_then_native(
+            lambda: repro.gradient(kmeans.INSTRUMENTED), args
+        )
+        _assert_identical(_report_fields(py), _report_fields(nat))
+
+    @pytest.mark.parametrize(
+        "kern,x,exc",
+        [
+            (ns_sqrt, -1.0, "ValueError"),
+            (ns_div, 0.0, "ZeroDivisionError"),
+            (ns_exp, 1000.0, "OverflowError"),
+        ],
+        ids=["sqrt(-1)", "x/0.0", "exp(1000)"],
+    )
+    def test_raising_calls_replay_in_python(
+        self, scalar_engine, kern, x, exc
+    ):
+        from repro.core.api import ErrorEstimator
+
+        want = _outcome(lambda: ErrorEstimator(kern).execute(3, x))
+        est = ErrorEstimator(kern)
+        est.execute(3, 0.5)
+        runs, fallbacks = _counts()
+        got = _outcome(lambda: est.execute(3, x))
+        assert got == want and got[0] == exc
+        assert _counts() == (runs, fallbacks + 1)
+
+    def test_an_int_past_2_53_replays(self, scalar_engine):
+        from repro.core.api import ErrorEstimator
+
+        (py, _), (nat, _) = _python_then_native(
+            lambda: ErrorEstimator(ns_big), (2 ** 30, 1.5), counted=(0, 1)
+        )
+        assert py.value == 4.5  # doubles would have lost the + 1
+        _assert_identical(_report_fields(py), _report_fields(nat))
+
+    @pytest.mark.parametrize(
+        "kern,args,kind",
+        [
+            (ns_floor, (3, 2.5), int),
+            (ns_max, (3, 1.5), int),  # max(2, 1.5) keeps the int
+            (ns_max, (3, 2.5), float),
+        ],
+        ids=["floor", "max(int,float)", "max(int,float)->float"],
+    )
+    def test_python_types_are_kept(self, scalar_engine, kern, args, kind):
+        from repro.core.api import ErrorEstimator
+
+        (py, _), (nat, _) = _python_then_native(
+            lambda: ErrorEstimator(kern), args
+        )
+        assert type(nat.value) is kind
+        _assert_identical(_report_fields(py), _report_fields(nat))
+
+    def test_unmarshalled_arguments_stay_in_python(self, scalar_engine):
+        from repro.core.api import ErrorEstimator
+
+        # a numpy scalar computes with numpy's types in Python, and a
+        # list is mutated in place there: both stay on the Python path
+        for args in (
+            (5, np.float64(0.25)),
+            (2, [1, 2], 0.5),
+        ):
+            kern = ns_div if len(args) == 2 else ns_ints
+            (py, _), (nat, _) = _python_then_native(
+                lambda: ErrorEstimator(kern), args, counted=(0, 1)
+            )
+            _assert_identical(_report_fields(py), _report_fields(nat))
+
+    def test_changed_int_arrays_are_written_back_by_python(
+        self, scalar_engine
+    ):
+        from repro.core.api import ErrorEstimator
+
+        args = (2, np.array([1, 2, 3], dtype=np.int64), 0.5)
+        # the reverse sweep pops a[i] back: natively, with the array
+        # unchanged at the end
+        (py, py_args), (nat, nat_args) = _python_then_native(
+            lambda: ErrorEstimator(ns_ints), args
+        )
+        _assert_identical(list(py_args), list(nat_args))
+        _assert_identical(_report_fields(py), _report_fields(nat))
+        # an int array left changed is written back by Python, which
+        # converts the values like numpy's item assignment does
+        (py, py_args), (nat, nat_args) = _python_then_native(
+            lambda: ErrorEstimator(ns_marks), args, counted=(0, 1)
+        )
+        assert nat_args[1].tolist() == [7, 2, 3]
+        _assert_identical(list(py_args), list(nat_args))
+        _assert_identical(_report_fields(py), _report_fields(nat))
+        # Python writes every array back, so a read-only one raises
+        # there even unchanged: such calls stay in Python
+        est = ErrorEstimator(ns_ints)
+        frozen = args[1].copy()
+        frozen.flags.writeable = False
+        want = _outcome(lambda: est.execute(2, frozen, 0.5))
+        runs, fallbacks = _counts()
+        assert _outcome(lambda: est.execute(2, frozen, 0.5)) == want
+        assert want[0] == "ValueError"
+        assert _counts() == (runs, fallbacks + 1)
+
+    def test_without_a_compiler_results_are_identical(
+        self, scalar_engine, monkeypatch
+    ):
+        from repro.apps import hpccg
+        from repro.core.api import ErrorEstimator
+
+        args = _app_args("hpccg")
+        _, (nat, nat_args) = _python_then_native(
+            lambda: ErrorEstimator(hpccg.INSTRUMENTED), args
+        )
+        monkeypatch.setattr(native, "_compiler", lambda: None)
+        monkeypatch.setattr(native, "_LIB", None)
+        monkeypatch.setattr(native, "_LIB_FAILED", False)
+        _, (py, py_args) = _python_then_native(
+            lambda: ErrorEstimator(hpccg.INSTRUMENTED), args, counted=(0, 1)
+        )
+        _assert_identical(_report_fields(py), _report_fields(nat))
+        _assert_identical(list(py_args), list(nat_args))
+
+
+class TestScalarCounters:
+    """Which ``execute`` calls count, and as what."""
+
+    def test_a_single_execute_counts_nothing(self):
+        from repro.apps import arclength
+        from repro.core.api import ErrorEstimator
+
+        est = ErrorEstimator(arclength.INSTRUMENTED)
+        before = _counts()
+        est.execute(*arclength.make_workload(50))
+        assert _counts() == before
+
+    def test_a_second_estimate_at_runs_natively(self, scalar_engine):
+        from repro import Session
+        from repro.apps import arclength
+        from repro.core.api import clear_estimator_memo
+
+        clear_estimator_memo()
+        sess = Session()
+        args = arclength.make_workload(50)
+        first = sess.estimate_at(arclength.INSTRUMENTED, args)
+        runs, fallbacks = _counts()
+        second = sess.estimate_at(arclength.INSTRUMENTED, args)
+        clear_estimator_memo()
+        assert _counts() == (runs + 1, fallbacks)
+        _assert_identical(_report_fields(first), _report_fields(second))
+
+    def test_traces_count_as_fallbacks(self, scalar_engine):
+        from repro.core.api import ErrorEstimator
+
+        est = ErrorEstimator(ns_div, track=["s"])
+        est.execute(3, 0.5)
+        runs, fallbacks = _counts()
+        rep = est.execute(3, 0.5)
+        assert rep.traces["s"]
+        assert _counts() == (runs, fallbacks + 1)
+
+    def test_straight_line_adjoints_count_nothing(self, scalar_engine):
+        from repro.core.api import ErrorEstimator
+
+        est = ErrorEstimator(nv_div)
+        before = _counts()
+        for _ in range(3):
+            est.execute(1.0, 3.0)
+        assert _counts() == before
+
+
+def test_measure_chef_counts_the_native_tapes(scalar_engine):
+    from repro.apps import arclength
+    from repro.experiments.measure import measure_chef
+
+    runs = native.NATIVE_RUNS.value
+    m = measure_chef(arclength.INSTRUMENTED, arclength.make_workload(2000))
+    # lowered before the clock: the timed and the measured run are native
+    assert native.NATIVE_RUNS.value == runs + 2
+    assert m.peak_bytes >= 2000 * 8  # at least one pushed double per step
