@@ -6,7 +6,11 @@ space reduction its pinned/safe sets give the precision search.  Then
 runs the pruned-vs-unpruned search comparison on the two scenarios
 where pruning bites (``simpsons``, ``arclength``) and records the
 evaluations saved — asserting, via the exit code, that the pruned
-front is never worse on the threshold-feasible region.
+front is never worse on the threshold-feasible region and that every
+app's report digest equals the one in the committed
+``BENCH_analyze.json`` (the analysis is deterministic, so a changed
+digest is a changed result; the run still writes its report, so an
+intended change is accepted by committing the regenerated file).
 
 Run as a script to (re)generate ``BENCH_analyze.json`` at the repo
 root::
@@ -38,6 +42,9 @@ APPS = ("simpsons", "arclength", "kmeans", "blackscholes", "hpccg")
 
 #: scenarios where pruning removes candidates, with search overrides
 SEARCH_CASES = (("simpsons", {}), ("arclength", {"budget": 80}))
+
+#: the committed report whose digests every run must reproduce
+COMMITTED = _REPO_ROOT / "BENCH_analyze.json"
 
 
 def analysis_rows(repeat: int) -> List[Dict[str, object]]:
@@ -119,6 +126,14 @@ def test_analysis_smoke() -> None:
         assert r["candidates_pruned"] <= r["candidates"]
 
 
+def committed_digests(path: Path = COMMITTED) -> Dict[str, str]:
+    """Per-app report digests of a written report (empty if absent)."""
+    if not path.exists():
+        return {}
+    rows = json.loads(path.read_text())["analysis"]
+    return {str(r["app"]): str(r["digest"]) for r in rows}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(
         description="static-analysis cost / pruning-payoff benchmark"
@@ -130,6 +145,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = ap.parse_args(argv)
     from _provenance import with_timing
 
+    committed = committed_digests()
     report = with_timing(build_report, args.repeat)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     for r in report["analysis"]:  # type: ignore[union-attr]
@@ -147,7 +163,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"  front_no_worse={r['front_no_worse']}"
         )
     print(f"wrote {args.out}")
-    ok = all(
+    changed = [
+        r["app"]
+        for r in report["analysis"]  # type: ignore[union-attr]
+        if committed.get(r["app"]) != r["digest"]
+    ]
+    for app in changed:
+        print(f"{app}: report digest differs from {COMMITTED.name}")
+    ok = not changed and all(
         r["front_no_worse"] and r["evaluations_saved"] > 0
         for r in report["search"]  # type: ignore[union-attr]
     )

@@ -18,6 +18,27 @@ every intermediate state, so ``break`` exits stay covered); unbounded
 loops iterate to a fixpoint with widening.  Everything terminates under
 hard iteration caps; capped-out bounds widen to infinity, staying
 conservative.
+
+Evaluation is compiled: each :func:`analyze_ranges` call lowers every
+statement and expression once into a Python closure over ``(lo, hi)``
+float pairs, so an abstract loop trip runs closures instead of
+re-dispatching on IR node types, and :class:`Interval` objects are
+built only for the :class:`RangeResult`.  A loop trip joins the
+variables its body writes into the accumulated state in place, and the
+loop stops on the first trip that changes nothing.  The rules the
+results depend on are kept exactly:
+
+* statements and operands evaluate in program order; every statement
+  entered counts one step toward :data:`STEP_BUDGET` and becomes the
+  site that events are attributed to (a ``while`` loop's trailing
+  condition check sees the body's last statement), and an event is
+  recorded once per ``(kind, statement, variable)``;
+* a bound that comes out NaN widens the interval to ``[-inf, inf]``;
+* ``min``/``max`` keep their first operand on ties, and int-valued
+  bounds (``floor``, ``ceil``, ``//``) stay ints;
+* a subexpression whose value is discarded (an index, a comparison
+  operand, a pushed tape value) is evaluated only when it can record
+  an event.
 """
 
 from __future__ import annotations
@@ -28,6 +49,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.ir import nodes as N
 from repro.ir.types import DType
+from repro.ir.visitor import iter_stmt_bodies, iter_stmt_exprs
 
 #: iterate a counted loop abstractly at most this many times
 TRIP_ITER_CAP = 600
@@ -120,71 +142,6 @@ def interval_of(value: object) -> Interval:
     return Interval(float(value), float(value))  # type: ignore[arg-type]
 
 
-def _mul_bound(a: float, b: float) -> float:
-    # endpoint products: 0 * inf contributes 0 (the other endpoint
-    # combinations supply the infinite magnitudes)
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    return a * b
-
-
-def interval_add(a: Interval, b: Interval) -> Interval:
-    return Interval(a.lo + b.lo, a.hi + b.hi)
-
-
-def interval_sub(a: Interval, b: Interval) -> Interval:
-    return Interval(a.lo - b.hi, a.hi - b.lo)
-
-
-def interval_mul(a: Interval, b: Interval) -> Interval:
-    products = [
-        _mul_bound(a.lo, b.lo),
-        _mul_bound(a.lo, b.hi),
-        _mul_bound(a.hi, b.lo),
-        _mul_bound(a.hi, b.hi),
-    ]
-    return Interval(min(products), max(products))
-
-
-def interval_div(a: Interval, b: Interval) -> Interval:
-    if b.contains_zero():
-        return TOP
-    quotients = []
-    for x in (a.lo, a.hi):
-        for y in (b.lo, b.hi):
-            if math.isinf(y):
-                quotients.append(0.0)
-            else:
-                quotients.append(x / y)
-    return Interval(min(quotients), max(quotients))
-
-
-def interval_neg(a: Interval) -> Interval:
-    return Interval(-a.hi, -a.lo)
-
-
-def interval_abs(a: Interval) -> Interval:
-    if a.contains_zero():
-        return Interval(0.0, a.mag)
-    return Interval(a.min_mag, a.mag)
-
-
-def _monotone(f: Callable[[float], float]) -> Callable[[Interval], Interval]:
-    def apply(a: Interval) -> Interval:
-        return Interval(_safe(f, a.lo), _safe(f, a.hi))
-
-    return apply
-
-
-def _safe(f: Callable[[float], float], x: float) -> float:
-    try:
-        return f(x)
-    except (OverflowError, ValueError):
-        if x > 0:
-            return _INF
-        return -_INF
-
-
 @dataclass
 class RangeEvent:
     """A site-level numerical hazard observed during propagation."""
@@ -256,177 +213,254 @@ def _as_array(values: Sequence[object]) -> object:
     return np.asarray(values)
 
 
-_UNARY_RANGES: Dict[str, Callable[[Interval], Interval]] = {
-    "sin": lambda a: Interval(-1.0, 1.0),
-    "cos": lambda a: Interval(-1.0, 1.0),
-    "tan": lambda a: TOP,
-    "asin": lambda a: Interval(-math.pi / 2, math.pi / 2),
-    "acos": lambda a: Interval(0.0, math.pi),
-    "atan": _monotone(math.atan),
-    "tanh": lambda a: Interval(-1.0, 1.0),
-    "sinh": _monotone(math.sinh),
-    "cosh": lambda a: Interval(1.0, _safe(math.cosh, a.mag)),
-    "erf": lambda a: Interval(-1.0, 1.0),
-    "erfc": lambda a: Interval(0.0, 2.0),
-    "exp": _monotone(math.exp),
-    "exp2": _monotone(lambda x: 2.0**x),
-    "floor": _monotone(math.floor),
-    "ceil": _monotone(math.ceil),
+# -- the compiled engine ----------------------------------------------------
+#
+# Values are ``(lo, hi)`` pairs; every pair the transfer functions build
+# passes through the same NaN -> TOP rule as ``Interval``.  Each
+# ``min``/``max`` keeps its operands in the order the interval algebra
+# defines them, so ties keep the first operand (``0.0`` vs ``-0.0``,
+# ``3`` vs ``3.0``) and int-valued bounds (``floor``, ``ceil``, ``//``)
+# stay ints.
+
+Pair = Tuple[float, float]
+Env = Dict[str, Pair]
+ExprFn = Callable[[Env], Pair]
+StmtFn = Callable[[Env], Env]
+
+_TOP: Pair = (-_INF, _INF)
+_BOOL: Pair = (0.0, 1.0)
+
+
+def _pair(lo: float, hi: float) -> Pair:
+    if lo != lo or hi != hi:
+        return _TOP
+    return (lo, hi)
+
+
+def _pair_dict(p: Pair) -> Dict[str, object]:
+    return {"lo": _json_float(p[0]), "hi": _json_float(p[1])}
+
+
+def _mag(p: Pair) -> float:
+    return max(abs(p[0]), abs(p[1]))
+
+
+def _safe(f: Callable[[float], float], x: float) -> float:
+    try:
+        return f(x)
+    except (OverflowError, ValueError):
+        if x > 0:
+            return _INF
+        return -_INF
+
+
+def _mul(a: Pair, b: Pair) -> Pair:
+    # endpoint products: 0 * inf contributes 0 (the other endpoint
+    # combinations supply the infinite magnitudes)
+    alo, ahi = a
+    blo, bhi = b
+    p1 = 0.0 if alo == 0.0 or blo == 0.0 else alo * blo
+    p2 = 0.0 if alo == 0.0 or bhi == 0.0 else alo * bhi
+    p3 = 0.0 if ahi == 0.0 or blo == 0.0 else ahi * blo
+    p4 = 0.0 if ahi == 0.0 or bhi == 0.0 else ahi * bhi
+    return _pair(min(p1, p2, p3, p4), max(p1, p2, p3, p4))
+
+
+def _div(a: Pair, b: Pair) -> Pair:
+    """Quotient by a divisor interval that excludes zero."""
+    alo, ahi = a
+    blo, bhi = b
+    lo_inf = math.isinf(blo)
+    hi_inf = math.isinf(bhi)
+    q1 = 0.0 if lo_inf else alo / blo
+    q2 = 0.0 if hi_inf else alo / bhi
+    q3 = 0.0 if lo_inf else ahi / blo
+    q4 = 0.0 if hi_inf else ahi / bhi
+    return _pair(min(q1, q2, q3, q4), max(q1, q2, q3, q4))
+
+
+def _cancels(a: Pair, b: Pair) -> bool:
+    """Subtracting ``b`` from ``a`` may cancel significant digits:
+    overlapping, same-signed, non-degenerate ranges."""
+    alo, ahi = a
+    blo, bhi = b
+    if not max(alo, blo) <= min(ahi, bhi):
+        return False
+    if not ((ahi > 0 and bhi > 0) or (alo < 0 and blo < 0)):
+        return False
+    overlap_mag = min(ahi, bhi) - max(alo, blo)
+    return not (overlap_mag <= 0 or max(_mag(a), _mag(b)) == 0)
+
+
+def _pow(base: Pair, exp: Pair) -> Pair:
+    blo, bhi = base
+    elo, ehi = exp
+    if not (
+        math.isfinite(blo) and math.isfinite(bhi)
+        and math.isfinite(elo) and math.isfinite(ehi)
+    ):
+        return _TOP
+    if blo <= 0.0:
+        # negative bases with non-integer exponents are domain
+        # errors at runtime; stay conservative on magnitude only
+        emag = _mag(exp)
+        m = max(_try_pow(abs(blo), emag), _try_pow(abs(bhi), emag), 1.0)
+        return _pair(-m, m)
+    c1 = _try_pow(blo, elo)
+    c2 = _try_pow(blo, ehi)
+    c3 = _try_pow(bhi, elo)
+    c4 = _try_pow(bhi, ehi)
+    return _pair(min(c1, c2, c3, c4), max(c1, c2, c3, c4))
+
+
+def _try_pow(b: float, x: float) -> float:
+    try:
+        return b**x
+    except (OverflowError, ValueError):
+        return -_INF
+
+
+#: intrinsics whose range ignores the argument's
+_CONST_UNARY: Dict[str, Pair] = {
+    "sin": (-1.0, 1.0),
+    "cos": (-1.0, 1.0),
+    "tan": _TOP,
+    "asin": (-math.pi / 2, math.pi / 2),
+    "acos": (0.0, math.pi),
+    "tanh": (-1.0, 1.0),
+    "erf": (-1.0, 1.0),
+    "erfc": (0.0, 2.0),
 }
+#: monotone non-decreasing intrinsics: map both bounds
+_MONOTONE: Dict[str, Callable[[float], float]] = {
+    "atan": math.atan,
+    "sinh": math.sinh,
+    "exp": math.exp,
+    "exp2": lambda x: 2.0**x,
+    "floor": math.floor,
+    "ceil": math.ceil,
+}
+#: intrinsics whose argument range can leave the function's domain
+_DOMAIN_CHECKED = ("log", "log2", "sqrt")
 
 
-class RangeAnalysis:
-    """The abstract interpreter (see module docstring)."""
+def _intrinsic(e: N.Call) -> str:
+    return e.fn[len("fast_"):] if e.fn.startswith("fast_") else e.fn
 
-    def __init__(
-        self,
-        fn: N.Function,
-        domains: Mapping[str, Interval],
-        stmts: Optional[List[N.Stmt]] = None,
-    ) -> None:
-        from repro.analyze.dataflow import index_statements
 
-        self.fn = fn
-        self.stmts = stmts if stmts is not None else index_statements(fn)
-        self.index = {id(s): i for i, s in enumerate(self.stmts)}
-        self.env: Dict[str, Interval] = {}
-        self.summary: Dict[str, Interval] = {}
+def _join(a: Pair, b: Pair) -> Pair:
+    """The hull of ``a`` and ``b``: ``a`` itself unless ``b`` reaches
+    past it, and ``a``'s bound wherever the two tie."""
+    lo, hi = b
+    alo, ahi = a
+    if lo < alo or hi > ahi:
+        return (lo if lo < alo else alo, hi if hi > ahi else ahi)
+    return a
+
+
+def _join_envs(a: Env, b: Env, written: Sequence[str]) -> Env:
+    """Per-variable join of two environments that differ at most in
+    the ``written`` variables."""
+    out = dict(a)
+    for var in written:
+        ib = b.get(var)
+        if ib is not None:
+            ia = out.get(var)
+            out[var] = ib if ia is None else _join(ia, ib)
+    return out
+
+
+def _written(body: List[N.Stmt]) -> Tuple[str, ...]:
+    """Every variable a statement list (nested bodies included) may
+    assign: the only ones a run of it can change."""
+    out: Dict[str, None] = {}
+
+    def visit(stmts: List[N.Stmt]) -> None:
+        for s in stmts:
+            if isinstance(s, N.VarDecl):
+                out[s.name] = None
+            elif isinstance(s, (N.Assign, N.Pop)):
+                t = s.target
+                out[t.id if isinstance(t, N.Name) else t.base] = None
+            elif isinstance(s, N.For):
+                out[s.var] = None
+            for inner in iter_stmt_bodies(s):
+                visit(inner)
+
+    visit(body)
+    return tuple(out)
+
+
+class _Engine:
+    """One analysis run: lowers the IR to closures, then runs them.
+
+    The closures read the environment they are passed and report into
+    this object: the per-variable summary, events, trip counts and the
+    step counter.  ``idx`` is the index of the statement last entered,
+    the site that events are attributed to.
+    """
+
+    __slots__ = (
+        "index", "locs", "summary", "events", "event_keys", "trips",
+        "steps", "widened", "idx", "budget", "trip_cap", "while_cap",
+    )
+
+    def __init__(self, stmts: List[N.Stmt]) -> None:
+        self.index = {id(s): i for i, s in enumerate(stmts)}
+        self.locs = [getattr(s, "loc", None) for s in stmts]
+        self.summary: Env = {}
         self.events: List[RangeEvent] = []
-        self._event_keys: set = set()
+        self.event_keys: set = set()
         self.trips: Dict[int, float] = {}
         self.steps = 0
         self.widened = False
-        self._stmt_idx = -1
-        self._target: Optional[str] = None
-        for p in fn.params:
-            iv = Interval(*_domain_of(domains, p.name))
-            self.env[p.name] = iv
-            self._note(p.name, iv)
+        self.idx = -1
+        self.budget = STEP_BUDGET
+        self.trip_cap = TRIP_ITER_CAP
+        self.while_cap = WHILE_ITER_CAP
 
-    # -- driver --------------------------------------------------------------
-    def run(self) -> RangeResult:
-        self._body(self.fn.body)
-        exec_counts = self._exec_counts()
-        return RangeResult(
-            fn=self.fn,
-            ranges=dict(self.summary),
-            events=self.events,
-            trips=dict(self.trips),
-            exec_counts=exec_counts,
-            widened=self.widened,
-        )
+    # -- bookkeeping ---------------------------------------------------------
+    def note(self, var: str, iv: Pair) -> None:
+        old = self.summary.get(var)
+        self.summary[var] = iv if old is None else _join(old, iv)
 
-    def _note(self, var: str, iv: Interval) -> None:
-        self.summary[var] = (
-            self.summary[var].join(iv) if var in self.summary else iv
-        )
+    def fresh(self, kind: str, var: Optional[str]) -> bool:
+        """Whether ``(kind, current statement, var)`` has no event yet."""
+        key = (kind, self.idx, var)
+        if key in self.event_keys:
+            return False
+        self.event_keys.add(key)
+        return True
 
-    def _event(
-        self, kind: str, var: Optional[str], **detail: object
+    def emit(
+        self, kind: str, var: Optional[str], detail: Dict[str, object]
     ) -> None:
-        s = self.stmts[self._stmt_idx] if self._stmt_idx >= 0 else None
-        key = (kind, self._stmt_idx, var)
-        if key in self._event_keys:
-            return
-        self._event_keys.add(key)
+        idx = self.idx
         self.events.append(
             RangeEvent(
                 kind=kind,
-                stmt=self._stmt_idx,
-                loc=getattr(s, "loc", None),
+                stmt=idx,
+                loc=self.locs[idx] if idx >= 0 else None,
                 var=var,
-                detail=dict(detail),
+                detail=detail,
             )
         )
 
-    # -- statements ----------------------------------------------------------
-    def _body(self, body: List[N.Stmt]) -> None:
-        for s in body:
-            self._stmt(s)
-
-    def _stmt(self, s: N.Stmt) -> None:
+    def enter(self, i: int) -> None:
         self.steps += 1
-        if self.steps > STEP_BUDGET:
+        if self.steps > self.budget:
             self.widened = True
-        self._stmt_idx = self.index[id(s)]
-        if isinstance(s, N.VarDecl):
-            iv = TOP
-            if s.init is not None:
-                self._target = s.name
-                iv = self._eval(s.init)
-                self._target = None
-            self.env[s.name] = iv
-            self._note(s.name, iv)
-        elif isinstance(s, N.Assign):
-            if isinstance(s.target, N.Name):
-                self._target = s.target.id
-                iv = self._eval(s.value)
-                self._target = None
-                self.env[s.target.id] = iv
-                self._note(s.target.id, iv)
-            else:
-                self._eval(s.target.index)
-                self._target = s.target.base
-                iv = self._eval(s.value)
-                self._target = None
-                base = s.target.base
-                self.env[base] = self.env.get(base, iv).join(iv)
-                self._note(base, self.env[base])
-        elif isinstance(s, N.For):
-            self._for(s)
-        elif isinstance(s, N.While):
-            self._while(s)
-        elif isinstance(s, N.If):
-            self._eval(s.cond)
-            before = dict(self.env)
-            self._body(s.then)
-            then_env = self.env
-            self.env = before
-            self._body(s.orelse)
-            self.env = _join_envs(then_env, self.env)
-        elif isinstance(s, (N.Return, N.ReturnTuple, N.ExprStmt)):
-            for e in _stmt_exprs(s):
-                self._eval(e)
-        elif isinstance(s, (N.Push, N.TraceAppend)):
-            self._eval(s.value)
-        elif isinstance(s, N.Pop):
-            # tape pops are adjoint-only; the popped value came from a
-            # push whose range we did not track — stay conservative
-            if isinstance(s.target, N.Name):
-                self.env[s.target.id] = TOP
-                self._note(s.target.id, TOP)
-            else:
-                self.env[s.target.base] = TOP
-                self._note(s.target.base, TOP)
+        self.idx = i
 
-    def _for(self, s: N.For) -> None:
-        idx = self.index[id(s)]
-        lo = self._eval(s.lo)
-        hi = self._eval(s.hi)
-        step = self._eval(s.step)
-        step_lo = max(1.0, step.lo)
-        if math.isfinite(hi.hi) and math.isfinite(lo.lo):
-            trips = max(0.0, math.ceil((hi.hi - lo.lo) / step_lo))
-        else:
-            trips = _INF
-        self.trips[idx] = trips
-        var_iv = Interval(lo.lo, max(lo.lo, hi.hi))
-        self.env[s.var] = var_iv
-        self._note(s.var, var_iv)
-        self._iterate(
-            s.body,
-            n=int(min(trips, TRIP_ITER_CAP)),
-            bounded=trips <= TRIP_ITER_CAP and not self.widened,
-        )
-
-    def _while(self, s: N.While) -> None:
-        idx = self.index[id(s)]
-        self.trips[idx] = _INF
-        self._eval(s.cond)
-        self._iterate(s.body, n=WHILE_ITER_CAP, bounded=False)
-        self._eval(s.cond)
-
-    def _iterate(self, body: List[N.Stmt], n: int, bounded: bool) -> None:
+    # -- loops ---------------------------------------------------------------
+    def iterate(
+        self,
+        body: StmtFn,
+        written: Tuple[str, ...],
+        env: Env,
+        n: int,
+        bounded: bool,
+    ) -> Env:
         """Abstractly run a loop body ``n`` times, join-accumulating.
 
         ``bounded`` means ``n`` covers every concrete trip, so the
@@ -434,34 +468,41 @@ class RangeAnalysis:
         still changing at the cut-off widen to infinity in the
         direction of change and the body runs once more to propagate.
         """
-        acc = dict(self.env)
+        acc = dict(env)
         for _ in range(max(0, n)):
-            self._body(body)
-            joined = _join_envs(acc, self.env)
-            if joined == acc:
-                self.env = dict(acc)
-                return
-            acc = joined
-            self.env = dict(joined)
-            if self.steps > STEP_BUDGET:
+            env = body(env)
+            changed = False
+            for var in written:
+                iv = env.get(var)
+                old = acc.get(var)
+                if iv is None or iv is old:
+                    continue
+                new = iv if old is None else _join(old, iv)
+                if new is not old:
+                    acc[var] = new
+                    changed = True
+            if not changed:
+                return acc
+            env = dict(acc)
+            if self.steps > self.budget:
                 self.widened = True
                 bounded = False
                 break
         if not bounded:
             before = dict(acc)
-            self._body(body)
-            for var, iv in self.env.items():
+            env = body(env)
+            for var, iv in env.items():
                 old = before.get(var, iv)
-                lo = -_INF if iv.lo < old.lo else old.lo
-                hi = _INF if iv.hi > old.hi else old.hi
-                acc[var] = Interval(lo, hi)
+                lo = -_INF if iv[0] < old[0] else old[0]
+                hi = _INF if iv[1] > old[1] else old[1]
+                acc[var] = (lo, hi)
                 if lo == -_INF or hi == _INF:
-                    self._note(var, acc[var])
-            self.env = dict(acc)
-            self._body(body)
-            self.env = _join_envs(acc, self.env)
+                    self.note(var, (lo, hi))
+            env = body(dict(acc))
+            env = _join_envs(acc, env, written)
+        return env
 
-    def _exec_counts(self) -> Dict[int, float]:
+    def exec_counts(self, body: List[N.Stmt]) -> Dict[int, float]:
         """Per-statement execution count estimates from loop trips."""
         counts: Dict[int, float] = {}
 
@@ -477,195 +518,516 @@ class RangeAnalysis:
                     visit(s.then, mult)
                     visit(s.orelse, mult)
 
-        visit(self.fn.body, 1.0)
+        visit(body, 1.0)
         return counts
 
-    # -- expressions ---------------------------------------------------------
-    def _eval(self, e: N.Expr) -> Interval:
-        if isinstance(e, N.Const):
-            v = float(e.value)
-            return Interval(v, v)
-        if isinstance(e, N.Name):
-            return self.env.get(e.id, TOP)
-        if isinstance(e, N.Index):
-            self._eval(e.index)
-            return self.env.get(e.base, TOP)
-        if isinstance(e, N.Cast):
-            return self._eval(e.operand)
-        if isinstance(e, N.UnaryOp):
-            iv = self._eval(e.operand)
-            if e.op == "-":
-                return interval_neg(iv)
-            return Interval(0.0, 1.0)  # not
-        if isinstance(e, N.BinOp):
-            return self._binop(e)
-        if isinstance(e, N.Call):
-            return self._call(e)
-        return TOP
+    # -- statements ----------------------------------------------------------
+    def body(self, stmts: List[N.Stmt]) -> StmtFn:
+        fns = [self.stmt(s) for s in stmts]
+        if len(fns) == 1:
+            return fns[0]
 
-    def _binop(self, e: N.BinOp) -> Interval:
-        a = self._eval(e.left)
-        b = self._eval(e.right)
-        if e.op in N.CMPOPS or e.op in N.BOOLOPS:
-            return Interval(0.0, 1.0)
-        if e.op == "+":
-            return interval_add(a, b)
-        if e.op == "-":
-            self._check_cancellation(e, a, b)
-            return interval_sub(a, b)
-        if e.op == "*":
-            return interval_mul(a, b)
-        if e.op == "/":
-            self._check_division(e, a, b)
-            return interval_div(a, b)
-        if e.op == "//":
-            q = interval_div(a, b) if not b.contains_zero() else TOP
-            return Interval(_safe(math.floor, q.lo), _safe(math.floor, q.hi))
-        if e.op == "%":
-            if b.lo > 0:
-                return Interval(0.0, b.hi)
-            if b.hi < 0:
-                return Interval(b.lo, 0.0)
-            return Interval(-b.mag, b.mag)
-        return TOP
+        def run(env: Env) -> Env:
+            for f in fns:
+                env = f(env)
+            return env
 
-    def _check_division(
-        self, e: N.BinOp, num: Interval, den: Interval
-    ) -> None:
-        if den.contains_zero():
-            self._event(
-                "div_blowup",
-                self._target,
-                divisor=den.to_dict(),
-                numerator=num.to_dict(),
-                contains_zero=True,
-            )
-        elif den.min_mag < 1e-8 * max(num.mag, 1.0):
-            self._event(
-                "div_blowup",
-                self._target,
-                divisor=den.to_dict(),
-                numerator=num.to_dict(),
-                contains_zero=False,
-            )
+        return run
 
-    def _check_cancellation(
-        self, e: N.BinOp, a: Interval, b: Interval
-    ) -> None:
-        dtype = getattr(e, "dtype", None)
-        if dtype is not None and not dtype.is_float:
-            return
-        if isinstance(e.left, N.Const) or isinstance(e.right, N.Const):
-            # subtracting a literal shifts, it does not cancel inputs
-            return
-        if not a.overlaps(b):
-            return
-        same_pos = a.hi > 0 and b.hi > 0
-        same_neg = a.lo < 0 and b.lo < 0
-        if not (same_pos or same_neg):
-            return
-        overlap_mag = min(a.hi, b.hi) - max(a.lo, b.lo)
-        if overlap_mag <= 0 or max(a.mag, b.mag) == 0:
-            return
-        self._event(
-            "cancellation",
-            self._target,
-            left=a.to_dict(),
-            right=b.to_dict(),
-            magnitude=_json_float(max(a.mag, b.mag)),
-        )
+    def stmt(self, s: N.Stmt) -> StmtFn:
+        i = self.index[id(s)]
+        enter = self.enter
+        note = self.note
+        if isinstance(s, N.VarDecl):
+            return self._define(i, s.name, s.init)
+        if isinstance(s, N.Assign):
+            if isinstance(s.target, N.Name):
+                return self._define(i, s.target.id, s.value)
+            return self._store(i, s.target, s.value)
+        if isinstance(s, N.For):
+            return self._for(s, i)
+        if isinstance(s, N.While):
+            return self._while(s, i)
+        if isinstance(s, N.If):
+            cond = self.effects(s.cond, None)
+            then = self.body(s.then)
+            orelse = self.body(s.orelse)
+            written = _written([s])
 
-    def _call(self, e: N.Call) -> Interval:
-        args = [self._eval(a) for a in e.args]
-        name = e.fn
-        if name.startswith("fast_"):
-            name = name[len("fast_"):]
-        if name in _UNARY_RANGES and len(args) == 1:
-            return _UNARY_RANGES[name](args[0])
-        if name in ("log", "log2") and len(args) == 1:
-            a = args[0]
-            if a.lo <= 0.0:
-                self._event("domain", self._target, fn=e.fn,
-                            arg=a.to_dict())
-            f = math.log if name == "log" else math.log2
-            lo = -_INF if a.lo <= 0.0 else _safe(f, a.lo)
-            hi = -_INF if a.hi <= 0.0 else _safe(f, a.hi)
-            return Interval(lo, hi)
-        if name == "sqrt" and len(args) == 1:
-            a = args[0]
-            if a.lo < 0.0:
-                self._event("domain", self._target, fn=e.fn,
-                            arg=a.to_dict())
-            if a.hi < 0.0:
-                return Interval(0.0, 0.0)
-            return Interval(
-                math.sqrt(max(a.lo, 0.0)), _safe(math.sqrt, a.hi)
-            )
-        if name == "fabs" and len(args) == 1:
-            return interval_abs(args[0])
-        if name == "fmax" and len(args) == 2:
-            return Interval(
-                max(args[0].lo, args[1].lo), max(args[0].hi, args[1].hi)
-            )
-        if name == "fmin" and len(args) == 2:
-            return Interval(
-                min(args[0].lo, args[1].lo), min(args[0].hi, args[1].hi)
-            )
-        if name == "pow" and len(args) == 2:
-            return self._pow(args[0], args[1])
-        if name == "copysign" and len(args) == 2:
-            return Interval(-args[0].mag, args[0].mag)
-        if name == "step_ge" and len(args) == 2:
-            return Interval(0.0, 1.0)
-        if name == "user_err" and args:
-            return args[0]
-        return TOP
+            def branch(env: Env) -> Env:
+                enter(i)
+                if cond is not None:
+                    cond(env)
+                before = dict(env)
+                return _join_envs(then(env), orelse(before), written)
 
-    def _pow(self, base: Interval, exp: Interval) -> Interval:
-        if not (base.is_finite and exp.is_finite):
-            return TOP
-        if base.lo <= 0.0:
-            # negative bases with non-integer exponents are domain
-            # errors at runtime; stay conservative on magnitude only
-            m = _safe(lambda _: max(
-                _safe(lambda __: abs(base.lo) ** exp.mag, 0.0),
-                _safe(lambda __: abs(base.hi) ** exp.mag, 0.0),
-                1.0,
-            ), 0.0)
-            return Interval(-m, m)
-        corners = []
-        for b in (base.lo, base.hi):
-            for x in (exp.lo, exp.hi):
-                corners.append(_safe(lambda _: b**x, 0.0))
-        return Interval(min(corners), max(corners))
+            return branch
+        if isinstance(s, N.Pop):
+            # tape pops are adjoint-only; the popped value came from a
+            # push whose range we did not track -- stay conservative
+            t = s.target
+            var = t.id if isinstance(t, N.Name) else t.base
 
+            def pop(env: Env) -> Env:
+                enter(i)
+                env[var] = _TOP
+                note(var, _TOP)
+                return env
 
-def _domain_of(
-    domains: Mapping[str, Interval], name: str
-) -> Tuple[float, float]:
-    iv = domains.get(name, TOP)
-    return iv.lo, iv.hi
-
-
-def _join_envs(
-    a: Dict[str, Interval], b: Dict[str, Interval]
-) -> Dict[str, Interval]:
-    out: Dict[str, Interval] = {}
-    for var in set(a) | set(b):
-        ia, ib = a.get(var), b.get(var)
-        if ia is None:
-            out[var] = ib  # type: ignore[assignment]
-        elif ib is None:
-            out[var] = ia
+            return pop
+        if isinstance(s, (N.Return, N.ReturnTuple, N.ExprStmt)):
+            exprs = list(iter_stmt_exprs(s))
+        elif isinstance(s, (N.Push, N.TraceAppend)):
+            exprs = [s.value]
         else:
-            out[var] = ia.join(ib)
-    return out
+            exprs = []
+        effects = [
+            f for f in (self.effects(e, None) for e in exprs) if f is not None
+        ]
+
+        def evaluate(env: Env) -> Env:
+            enter(i)
+            for f in effects:
+                f(env)
+            return env
+
+        return evaluate
+
+    # the two hottest statements inline ``enter`` and ``note``
+    def _define(self, i: int, name: str, init: Optional[N.Expr]) -> StmtFn:
+        value = self.expr(init, name) if init is not None else _const(_TOP)
+        eng = self
+        budget = self.budget
+        summary = self.summary
+
+        def define(env: Env) -> Env:
+            steps = eng.steps + 1
+            eng.steps = steps
+            if steps > budget:
+                eng.widened = True
+            eng.idx = i
+            iv = value(env)
+            env[name] = iv
+            old = summary.get(name)
+            if old is None:
+                summary[name] = iv
+            elif old is not iv:
+                summary[name] = _join(old, iv)
+            return env
+
+        return define
+
+    def _store(self, i: int, target: N.Index, value: N.Expr) -> StmtFn:
+        # an element store joins into the whole array's range
+        base = target.base
+        index = self.effects(target.index, None)
+        elem = self.expr(value, base)
+        eng = self
+        budget = self.budget
+        summary = self.summary
+
+        def store(env: Env) -> Env:
+            steps = eng.steps + 1
+            eng.steps = steps
+            if steps > budget:
+                eng.widened = True
+            eng.idx = i
+            if index is not None:
+                index(env)
+            iv = elem(env)
+            old = env.get(base)
+            arr = iv if old is None else _join(old, iv)
+            env[base] = arr
+            prev = summary.get(base)
+            summary[base] = arr if prev is None else _join(prev, arr)
+            return env
+
+        return store
+
+    def _for(self, s: N.For, i: int) -> StmtFn:
+        lo_f = self.expr(s.lo, None)
+        hi_f = self.expr(s.hi, None)
+        step_f = self.expr(s.step, None)
+        body = self.body(s.body)
+        written = _written(s.body)
+        var = s.var
+        cap = self.trip_cap
+
+        def loop(env: Env) -> Env:
+            self.enter(i)
+            lo = lo_f(env)
+            hi = hi_f(env)
+            step = step_f(env)
+            step_lo = max(1.0, step[0])
+            trips: float
+            if math.isfinite(hi[1]) and math.isfinite(lo[0]):
+                trips = max(0.0, math.ceil((hi[1] - lo[0]) / step_lo))
+            else:
+                trips = _INF
+            self.trips[i] = trips
+            var_iv = _pair(lo[0], max(lo[0], hi[1]))
+            env[var] = var_iv
+            self.note(var, var_iv)
+            return self.iterate(
+                body,
+                written,
+                env,
+                n=int(min(trips, cap)),
+                bounded=trips <= cap and not self.widened,
+            )
+
+        return loop
+
+    def _while(self, s: N.While, i: int) -> StmtFn:
+        # the trailing condition evaluation runs after the body, so its
+        # events go to whichever statement the body entered last
+        cond = self.effects(s.cond, None)
+        body = self.body(s.body)
+        written = _written(s.body)
+        cap = self.while_cap
+
+        def loop(env: Env) -> Env:
+            self.enter(i)
+            self.trips[i] = _INF
+            if cond is not None:
+                cond(env)
+            env = self.iterate(body, written, env, n=cap, bounded=False)
+            if cond is not None:
+                cond(env)
+            return env
+
+        return loop
+
+    # -- expressions ---------------------------------------------------------
+    def effects(self, e: N.Expr, target: Optional[str]) -> Optional[ExprFn]:
+        """``e`` evaluated for its events only: ``None`` when it has
+        none to raise, so a discarded value costs nothing."""
+        return self.expr(e, target) if _may_raise_event(e) else None
+
+    def expr(self, e: N.Expr, target: Optional[str]) -> ExprFn:
+        if isinstance(e, N.Const):
+            return _const(_pair(float(e.value), float(e.value)))
+        if isinstance(e, N.Name):
+            name = e.id
+
+            def read(env: Env) -> Pair:
+                return env.get(name, _TOP)
+
+            return read
+        if isinstance(e, N.Index):
+            return self._index(e, target)
+        if isinstance(e, N.Cast):
+            return self.expr(e.operand, target)
+        if isinstance(e, N.UnaryOp):
+            if e.op != "-":  # not
+                return self._discard([e.operand], target, _BOOL)
+            operand = self.expr(e.operand, target)
+
+            def neg(env: Env) -> Pair:
+                lo, hi = operand(env)
+                return (-hi, -lo)
+
+            return neg
+        if isinstance(e, N.BinOp):
+            return self._binop(e, target)
+        if isinstance(e, N.Call):
+            return self._call(e, target)
+        return _const(_TOP)
+
+    def _discard(
+        self, args: Sequence[N.Expr], target: Optional[str], result: Pair
+    ) -> ExprFn:
+        """Evaluate ``args`` for their events; the value is ``result``."""
+        fns = [
+            f for f in (self.effects(a, target) for a in args) if f is not None
+        ]
+        if not fns:
+            return _const(result)
+
+        def run(env: Env) -> Pair:
+            for f in fns:
+                f(env)
+            return result
+
+        return run
+
+    def _index(self, e: N.Index, target: Optional[str]) -> ExprFn:
+        base = e.base
+        index = self.effects(e.index, target)
+        if index is None:
+
+            def load(env: Env) -> Pair:
+                return env.get(base, _TOP)
+
+            return load
+
+        check: ExprFn = index
+
+        def load_checked(env: Env) -> Pair:
+            check(env)
+            return env.get(base, _TOP)
+
+        return load_checked
+
+    def _binop(self, e: N.BinOp, target: Optional[str]) -> ExprFn:
+        op = e.op
+        if op in N.CMPOPS or op in N.BOOLOPS:
+            return self._discard([e.left, e.right], target, _BOOL)
+        if op not in N.BINOPS:
+            return self._discard([e.left, e.right], target, _TOP)
+        if op == "%":
+            return self._mod(e, target)
+        left = self.expr(e.left, target)
+        right = self.expr(e.right, target)
+        if op == "+":
+
+            def add(env: Env) -> Pair:
+                alo, ahi = left(env)
+                blo, bhi = right(env)
+                lo = alo + blo
+                hi = ahi + bhi
+                if lo != lo or hi != hi:
+                    return _TOP
+                return (lo, hi)
+
+            return add
+        if op == "-":
+            return self._sub(e, left, right, target)
+        if op == "*":
+
+            def mul(env: Env) -> Pair:
+                a = left(env)
+                return _mul(a, right(env))
+
+            return mul
+        if op == "/":
+            return self._div(left, right, target)
+
+        def floordiv(env: Env) -> Pair:
+            a = left(env)
+            b = right(env)
+            q = _TOP if b[0] <= 0.0 <= b[1] else _div(a, b)
+            return _pair(_safe(math.floor, q[0]), _safe(math.floor, q[1]))
+
+        return floordiv
+
+    def _sub(
+        self, e: N.BinOp, left: ExprFn, right: ExprFn, target: Optional[str]
+    ) -> ExprFn:
+        check = _checks_cancellation(e)
+        fresh = self.fresh
+        emit = self.emit
+
+        def sub(env: Env) -> Pair:
+            a = left(env)
+            b = right(env)
+            if check and _cancels(a, b) and fresh("cancellation", target):
+                emit("cancellation", target, {
+                    "left": _pair_dict(a),
+                    "right": _pair_dict(b),
+                    "magnitude": _json_float(max(_mag(a), _mag(b))),
+                })
+            lo = a[0] - b[1]
+            hi = a[1] - b[0]
+            if lo != lo or hi != hi:
+                return _TOP
+            return (lo, hi)
+
+        return sub
+
+    def _div(
+        self, left: ExprFn, right: ExprFn, target: Optional[str]
+    ) -> ExprFn:
+        fresh = self.fresh
+        emit = self.emit
+
+        def div(env: Env) -> Pair:
+            num = left(env)
+            den = right(env)
+            dlo, dhi = den
+            zero = dlo <= 0.0 <= dhi
+            # a divisor containing or hugging zero blows the quotient up
+            if (
+                zero or min(abs(dlo), abs(dhi)) < 1e-8 * max(_mag(num), 1.0)
+            ) and fresh("div_blowup", target):
+                emit("div_blowup", target, {
+                    "divisor": _pair_dict(den),
+                    "numerator": _pair_dict(num),
+                    "contains_zero": zero,
+                })
+            return _TOP if zero else _div(num, den)
+
+        return div
+
+    def _mod(self, e: N.BinOp, target: Optional[str]) -> ExprFn:
+        left = self.effects(e.left, target)
+        right = self.expr(e.right, target)
+
+        def mod(env: Env) -> Pair:
+            if left is not None:
+                left(env)
+            b = right(env)
+            if b[0] > 0:
+                return _pair(0.0, b[1])
+            if b[1] < 0:
+                return _pair(b[0], 0.0)
+            m = _mag(b)
+            return _pair(-m, m)
+
+        return mod
+
+    def _call(self, e: N.Call, target: Optional[str]) -> ExprFn:
+        name = _intrinsic(e)
+        n = len(e.args)
+        if n == 1 and name in _CONST_UNARY:
+            return self._discard(e.args, target, _CONST_UNARY[name])
+        if n == 2 and name == "step_ge":
+            return self._discard(e.args, target, _BOOL)
+        if name == "user_err" and n:
+            first = self.expr(e.args[0], target)
+            rest = self._discard(e.args[1:], target, _TOP)
+
+            def user_err(env: Env) -> Pair:
+                iv = first(env)
+                rest(env)
+                return iv
+
+            return user_err
+        if n == 1 and name in _DOMAIN_CHECKED:
+            a = self.expr(e.args[0], target)
+            return self._domain_call(e.fn, name, a, target)
+        if n == 1 and (name in _MONOTONE or name in ("cosh", "fabs")):
+            return _unary_call(name, self.expr(e.args[0], target))
+        if n == 2 and name in ("fmax", "fmin", "pow", "copysign"):
+            a = self.expr(e.args[0], target)
+            return _binary_call(name, a, self.expr(e.args[1], target))
+        return self._discard(e.args, target, _TOP)
+
+    def _domain_call(
+        self, fn: str, name: str, a: ExprFn, target: Optional[str]
+    ) -> ExprFn:
+        fresh = self.fresh
+        emit = self.emit
+        if name == "sqrt":
+
+            def sqrt(env: Env) -> Pair:
+                lo, hi = a(env)
+                if lo < 0.0 and fresh("domain", target):
+                    emit("domain", target, {
+                        "fn": fn, "arg": _pair_dict((lo, hi)),
+                    })
+                if hi < 0.0:
+                    return (0.0, 0.0)
+                return _pair(math.sqrt(max(lo, 0.0)), _safe(math.sqrt, hi))
+
+            return sqrt
+        f: Callable[[float], float] = math.log if name == "log" else math.log2
+
+        def log(env: Env) -> Pair:
+            lo, hi = a(env)
+            if lo <= 0.0 and fresh("domain", target):
+                emit("domain", target, {
+                    "fn": fn, "arg": _pair_dict((lo, hi)),
+                })
+            return _pair(
+                -_INF if lo <= 0.0 else _safe(f, lo),
+                -_INF if hi <= 0.0 else _safe(f, hi),
+            )
+
+        return log
 
 
-def _stmt_exprs(s: N.Stmt) -> List[N.Expr]:
-    from repro.ir.visitor import iter_stmt_exprs
+def _const(p: Pair) -> ExprFn:
+    def const(env: Env) -> Pair:
+        return p
 
-    return list(iter_stmt_exprs(s))
+    return const
+
+
+def _unary_call(name: str, a: ExprFn) -> ExprFn:
+    if name == "cosh":
+
+        def cosh(env: Env) -> Pair:
+            return _pair(1.0, _safe(math.cosh, _mag(a(env))))
+
+        return cosh
+    if name == "fabs":
+
+        def fabs(env: Env) -> Pair:
+            lo, hi = a(env)
+            m = max(abs(lo), abs(hi))
+            if lo <= 0.0 <= hi:
+                return _pair(0.0, m)
+            return _pair(min(abs(lo), abs(hi)), m)
+
+        return fabs
+    f = _MONOTONE[name]
+
+    def monotone(env: Env) -> Pair:
+        lo, hi = a(env)
+        return _pair(_safe(f, lo), _safe(f, hi))
+
+    return monotone
+
+
+def _binary_call(name: str, a: ExprFn, b: ExprFn) -> ExprFn:
+    if name == "pow":
+
+        def pow_(env: Env) -> Pair:
+            x = a(env)
+            return _pow(x, b(env))
+
+        return pow_
+    if name == "copysign":
+
+        def copysign(env: Env) -> Pair:
+            m = _mag(a(env))
+            b(env)
+            return _pair(-m, m)
+
+        return copysign
+    if name == "fmax":
+
+        def fmax(env: Env) -> Pair:
+            x = a(env)
+            y = b(env)
+            return _pair(max(x[0], y[0]), max(x[1], y[1]))
+
+        return fmax
+
+    def fmin(env: Env) -> Pair:
+        x = a(env)
+        y = b(env)
+        return _pair(min(x[0], y[0]), min(x[1], y[1]))
+
+    return fmin
+
+
+def _checks_cancellation(e: N.BinOp) -> bool:
+    """Whether a subtraction is a cancellation site at all: a float
+    operation between two non-literal operands (subtracting a literal
+    shifts, it does not cancel inputs)."""
+    dtype = getattr(e, "dtype", None)
+    if dtype is not None and not dtype.is_float:
+        return False
+    return not (isinstance(e.left, N.Const) or isinstance(e.right, N.Const))
+
+
+def _may_raise_event(e: N.Expr) -> bool:
+    """Whether evaluating ``e`` can record a hazard event."""
+    if isinstance(e, N.BinOp):
+        if e.op == "/" or (e.op == "-" and _checks_cancellation(e)):
+            return True
+        return _may_raise_event(e.left) or _may_raise_event(e.right)
+    if isinstance(e, N.Call):
+        if len(e.args) == 1 and _intrinsic(e) in _DOMAIN_CHECKED:
+            return True
+        return any(_may_raise_event(a) for a in e.args)
+    if isinstance(e, N.Index):
+        return _may_raise_event(e.index)
+    if isinstance(e, (N.Cast, N.UnaryOp)):
+        return _may_raise_event(e.operand)
+    return False
 
 
 def analyze_ranges(
@@ -674,7 +1036,23 @@ def analyze_ranges(
     stmts: Optional[List[N.Stmt]] = None,
 ) -> RangeResult:
     """Run the interval analysis over ``fn`` with the given domains."""
-    return RangeAnalysis(fn, domains, stmts=stmts).run()
+    from repro.analyze.dataflow import index_statements
+
+    eng = _Engine(stmts if stmts is not None else index_statements(fn))
+    env: Env = {}
+    for p in fn.params:
+        iv = domains.get(p.name, TOP)
+        env[p.name] = _pair(iv.lo, iv.hi)
+        eng.note(p.name, env[p.name])
+    eng.body(fn.body)(env)
+    return RangeResult(
+        fn=fn,
+        ranges={v: Interval(lo, hi) for v, (lo, hi) in eng.summary.items()},
+        events=eng.events,
+        trips=dict(eng.trips),
+        exec_counts=eng.exec_counts(fn.body),
+        widened=eng.widened,
+    )
 
 
 def eval_expr_range(
@@ -682,19 +1060,10 @@ def eval_expr_range(
 ) -> Interval:
     """Range of a single expression under per-variable summary ranges.
 
-    A statement-free entry into the abstract interpreter's expression
-    evaluation — used by the sensitivity analysis to bound subexpression
+    A statement-free entry into the engine's expression evaluation --
+    used by the sensitivity analysis to bound subexpression
     magnitudes.  Hazard events are evaluated but discarded.
     """
-    ra = RangeAnalysis.__new__(RangeAnalysis)
-    ra.env = dict(ranges)
-    ra.stmts = []
-    ra.index = {}
-    ra.events = []
-    ra._event_keys = set()
-    ra.trips = {}
-    ra.steps = 0
-    ra.widened = False
-    ra._stmt_idx = -1
-    ra._target = None
-    return ra._eval(e)
+    env = {v: (iv.lo, iv.hi) for v, iv in ranges.items()}
+    lo, hi = _Engine([]).expr(e, None)(env)
+    return Interval(lo, hi)

@@ -82,6 +82,11 @@ def fold_name(var: str) -> Optional[str]:
     return _INLINE_SUFFIX.sub("", var)
 
 
+def _digest(payload: Dict[str, object]) -> str:
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 @dataclass
 class AnalysisReport:
     """Everything the static analysis learned about one kernel."""
@@ -113,33 +118,11 @@ class AnalysisReport:
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "kernel": self.kernel,
-            "ir_fingerprint": self.ir_fingerprint,
-            "demote_to": self.demote_to,
-            "threshold": self.threshold,
-            "ranges": {
-                v: iv.to_dict() for v, iv in sorted(self.ranges.items())
-            },
-            "amp": {
-                v: _json_float(a) for v, a in sorted(self.amp.items())
-            },
-            "writes": {
-                v: _json_float(w)
-                for v, w in sorted(self.writes.items())
-            },
-            "err_estimate": {
-                v: dict(e)
-                for v, e in sorted(self.err_estimate.items())
-            },
-            "diagnostics": [d.to_dict() for d in self.diagnostics],
-            "pinned": list(self.pinned),
-            "safe": list(self.safe),
-            "widened": self.widened,
-            "digest": self.digest(),
-            "wall_time": self.wall_time,
-            "provenance": self.provenance,
-        }
+        d = self._digest_payload()
+        d["digest"] = _digest(d)
+        d["wall_time"] = self.wall_time
+        d["provenance"] = self.provenance
+        return d
 
     def digest(self) -> str:
         """Content digest of the analysis facts.
@@ -148,10 +131,7 @@ class AnalysisReport:
         *what was concluded*, not when or by which session — it is
         folded into search run keys when pruning is enabled.
         """
-        blob = json.dumps(
-            self._digest_payload(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return _digest(self._digest_payload())
 
     def _digest_payload(self) -> Dict[str, object]:
         d = {

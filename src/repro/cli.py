@@ -243,14 +243,14 @@ def cmd_operation(args) -> int:
         _print_scenarios()
         return 0 if args.list else 2
     spec = _spec(args)
-    ops.validate(spec)
+    scen = ops.validate(spec)
     sess = _session_for(args)
     trace_path = getattr(args, "trace", None)
     if trace_path is not None:
         obs_trace.enable(trace_path)
     try:
         with obs_trace.span(f"cli.{spec.kind}", kernel=spec.kernel):
-            outcome = ops.execute(sess, spec, resume=resume)
+            outcome = ops.execute(sess, spec, scen, resume=resume)
     finally:
         if trace_path is not None:
             obs_trace.disable()

@@ -289,15 +289,16 @@ class JobRegistry:
             self._count("journal_failures")
 
     # -- submission ----------------------------------------------------------
-    def _validate(self, spec: JobSpec) -> None:
+    def _validate(self, spec: JobSpec):
         """Submission-time validation: bad requests answer HTTP 400
         instead of becoming failed jobs.  The spec and scenario checks
         are the operations' own (:func:`repro.session.ops.validate`);
         the server adds its budget cap and the run-store requirement
-        of sharded searches."""
+        of sharded searches.  Returns the validated scenario, which
+        the job then executes on."""
         scen = ops.validate(spec)
         if spec.kind != "search":
-            return
+            return scen
         # a sharded search spends ``budget`` per shard — cap the
         # aggregate, not the per-shard slice
         effective = (spec.budget or scen.budget) * (spec.shards or 1)
@@ -308,6 +309,7 @@ class JobRegistry:
             )
         if (spec.shards or spec.fleet_workers) and self.session.store is None:
             raise ConfigError("sharded search requires the server run store")
+        return scen
 
     def submit(
         self,
@@ -349,7 +351,7 @@ class JobRegistry:
                 raise QueueFullError(
                     f"job queue is full ({self.max_queue} pending)"
                 )
-            self._validate(spec)
+            scen = self._validate(spec)
             job = Job(spec=spec, id=spec.job_id, request_id=request_id)
             if spec.kind == "search":
                 # resolved through the same scenario/default pipeline
@@ -360,7 +362,7 @@ class JobRegistry:
             self._jobs[job.id] = job
             self._count("submitted")
             self._journal_record(job)
-            job.future = self._executor.submit(self._run, job)
+            job.future = self._executor.submit(self._run, job, scen)
             return job, True
 
     # -- lookup --------------------------------------------------------------
@@ -461,7 +463,7 @@ class JobRegistry:
                 _JOB_SECONDS.observe(job.finished - job.started)
             self._journal_record(job)
 
-    def _run(self, job: Job) -> None:
+    def _run(self, job: Job, scen) -> None:
         with self._lock:
             if job.cancel_event.is_set() or job.state != QUEUED:
                 self._finish(
@@ -497,6 +499,7 @@ class JobRegistry:
                 result = ops.execute(
                     self.session,
                     job.spec,
+                    scen,
                     resume=self.session.store is not None,
                     on_batch=lambda n: self._check_interrupt(job, n),
                     deadline_s=job.spec.timeout_s or self.default_timeout_s,

@@ -371,7 +371,7 @@ def _analyze(sess, spec: JobSpec, scen):
     threshold = (
         spec.threshold if spec.threshold is not None else scen.threshold
     )
-    report = sess.analyze(spec.kernel, threshold=threshold)
+    report = sess.analyze(scen, threshold=threshold)
     return report, report.to_dict()
 
 
@@ -414,6 +414,7 @@ _OPERATIONS = {
 def execute(
     session,
     spec: JobSpec,
+    scen,
     *,
     resume: bool = False,
     on_batch: Optional[Callable[[int], None]] = None,
@@ -421,6 +422,7 @@ def execute(
 ) -> Outcome:
     """Run the operation ``spec`` asks for on ``session``.
 
+    ``scen`` is the scenario :func:`validate` returned for ``spec``.
     The search knobs ride along: ``resume`` resumes a stored run from
     the session's run store, ``on_batch`` is called after every
     computed batch (the server's cancellation and deadline hook), and
@@ -430,9 +432,7 @@ def execute(
     """
     base = {"kind": spec.kind, "kernel": spec.kernel}
     if spec.kind != "search":
-        result, payload = _OPERATIONS[spec.kind](
-            session, spec, scenario(spec.kernel)
-        )
+        result, payload = _OPERATIONS[spec.kind](session, spec, scen)
     elif spec.shards or spec.fleet_workers:
         result, payload = _fleet(session, spec, deadline_s)
     else:
