@@ -12,6 +12,8 @@ out of the way:
    counters show one adjoint build per estimator build, no
    config-batch fallback and no native-engine fallback; a search of a
    kernel with loops (simpsons) must run its lane kernels natively;
+   each search builds exactly two adjoints (the Taylor estimate lanes
+   and the ADAPT contribution pass);
 2. start ``python -m repro serve --trace``, submit a tune job over
    HTTP, and assert the job's ``serve.job`` root span lands in the
    trace carrying the submission's ``X-Request-Id``;
@@ -97,13 +99,16 @@ def check_traced_search(tmp_path: Path, say) -> None:
     )
     assert traced.get("profile"), "traced run carries no profile"
     # deterministic work counters: one adjoint build per estimator
-    # build (lanes derive every candidate's parameters from it), every
+    # build (lanes derive every candidate's parameters from it), one
+    # adjoint per error model (Taylor estimate lanes, ADAPT
+    # contribution pass: pools of every size run on the lanes), every
     # pool estimated on lanes, and no native-engine fallback (the
     # straight-line blackscholes kernels stay on the numpy path by
     # choice, which is no fallback)
     work = traced["stats"]["work"]
     assert work["config_batch_fallbacks"] == 0, work
-    assert work["adjoint_builds"] == work["estimator_builds"] > 0, work
+    assert work["adjoint_builds"] == work["estimator_builds"], work
+    assert work["adjoint_builds"] == 2, work
     assert work["native_fallbacks"] == 0, work
     # kernels with loops run every lane kernel call natively
     loop_json = tmp_path / "loop.json"
@@ -112,6 +117,7 @@ def check_traced_search(tmp_path: Path, say) -> None:
         "--json", str(loop_json),
     )
     loop_work = json.loads(loop_json.read_text())["stats"]["work"]
+    assert loop_work["adjoint_builds"] == 2, loop_work
     assert loop_work["native_fallbacks"] == 0, loop_work
     assert loop_work["native_lane_runs"] > 0, loop_work
 

@@ -36,22 +36,20 @@ from repro.ir.visitor import iter_stmt_exprs, walk_expr, walk_stmts
 from repro.util.errors import ExecutionError, ReproError
 
 
-class CompiledFunction:
-    """A compiled IR function plus its calling convention metadata."""
+class CallingConvention:
+    """How a compiled function of ``fn`` is called, read off the IR.
 
-    def __init__(
-        self,
-        fn: N.Function,
-        raw: Callable,
-        source: str,
-        counting: bool,
-        traces: List[str],
-    ) -> None:
+    Everything a caller needs before the generated code exists: the
+    argument check and rounding (:meth:`prepare`), the array parameters
+    and the sensitivity traces the function returns.
+    """
+
+    def __init__(self, fn: N.Function) -> None:
         self.fn = fn
-        self.raw = raw
-        self.source = source
-        self.counting = counting
-        self.traces = traces
+        self.traces: List[str] = []
+        for s in walk_stmts(fn.body):
+            if isinstance(s, N.TraceAppend) and s.trace not in self.traces:
+                self.traces.append(s.trace)
         self._array_params = [
             i
             for i, p in enumerate(fn.params)
@@ -59,13 +57,44 @@ class CompiledFunction:
         ]
         # parameters stored at reduced precision: incoming values are
         # rounded on entry (demoting an input's storage rounds the data)
-        from repro.ir.types import DType
-
         self._rounded_params = [
             (i, p.type.dtype)
             for i, p in enumerate(fn.params)
             if p.type.dtype in (DType.F32, DType.F16)
         ]
+
+    def prepare(self, args: Sequence[object]) -> List[object]:
+        """The arguments as the function body sees them, before arrays
+        become lists: parameters stored at reduced precision rounded
+        (an ndarray into a new array)."""
+        if len(args) != len(self.fn.params):
+            raise ExecutionError(
+                f"{self.fn.name}: expected {len(self.fn.params)} arguments,"
+                f" got {len(args)}"
+            )
+        call_args = list(args)
+        if self._rounded_params:
+            from repro.fp.precision import round_to
+
+            for i, dt in self._rounded_params:
+                a = call_args[i]
+                if isinstance(a, np.ndarray):
+                    call_args[i] = np.asarray(round_to(a, dt))
+                elif isinstance(a, (int, float)):
+                    call_args[i] = round_to(float(a), dt)
+        return call_args
+
+
+class CompiledFunction(CallingConvention):
+    """A compiled IR function plus its calling convention metadata."""
+
+    def __init__(
+        self, fn: N.Function, raw: Callable, source: str, counting: bool
+    ) -> None:
+        super().__init__(fn)
+        self.counting = counting
+        self.raw = raw
+        self.source = source
 
     def __call__(self, *args: object) -> object:
         """Call with user-facing conventions (numpy arrays in/out).
@@ -105,27 +134,6 @@ class CompiledFunction:
         primal = base[0] if len(base) == 1 else base
         return primal, extras
 
-    def prepare(self, args: Sequence[object]) -> List[object]:
-        """The arguments as the function body sees them, before arrays
-        become lists: parameters stored at reduced precision rounded
-        (an ndarray into a new array)."""
-        if len(args) != len(self.fn.params):
-            raise ExecutionError(
-                f"{self.fn.name}: expected {len(self.fn.params)} arguments,"
-                f" got {len(args)}"
-            )
-        call_args = list(args)
-        if self._rounded_params:
-            from repro.fp.precision import round_to
-
-            for i, dt in self._rounded_params:
-                a = call_args[i]
-                if isinstance(a, np.ndarray):
-                    call_args[i] = np.asarray(round_to(a, dt))
-                elif isinstance(a, (int, float)):
-                    call_args[i] = round_to(float(a), dt)
-        return call_args
-
 
 def compile_raw(
     fn: N.Function,
@@ -156,14 +164,7 @@ def compile_raw(
     code = compile(src, filename=f"<repro:{fn.name}>", mode="exec")
     ns: Dict[str, object] = {}
     exec(code, g, ns)  # noqa: S102 - compiling our own generated source
-    raw = ns[fn.name]
-    traces: List[str] = []
-    from repro.ir.visitor import iter_stmt_exprs, walk_expr, walk_stmts
-
-    for s in walk_stmts(fn.body):
-        if isinstance(s, N.TraceAppend) and s.trace not in traces:
-            traces.append(s.trace)
-    return CompiledFunction(fn, raw, src, counting, traces)
+    return CompiledFunction(fn, ns[fn.name], src, counting)
 
 
 def compile_primal(fn: N.Function, approx: Optional[Set[str]] = None) -> CompiledFunction:
@@ -176,17 +177,19 @@ def compile_primal(fn: N.Function, approx: Optional[Set[str]] = None) -> Compile
 # --------------------------------------------------------------------------
 #
 # The precision-search hot path scores K configurations of one kernel.
-# A :class:`ConfigLaneKernel` is that kernel compiled ONCE in the
+# A :class:`ConfigLaneKernel` is that kernel rendered ONCE in the
 # precision-parameterized form of :mod:`repro.codegen.npgen`
-# (``generate_config_lane_source``); :func:`lower_config_pool` then
-# derives, per proposal pool, the lane parameters (rounding selectors,
-# cycle-charge vectors, constant values) that specialize the compiled
-# code to each configuration at *runtime*.  Lowering runs the exact
-# dtype re-inference ``apply_precision`` performs — so each lane's
-# rounding points and cycle charges match the per-config scalar path
-# bit for bit — but compiles nothing.  :func:`lower_adjoint_pool` does
-# the same for an error-estimating adjoint: one adjoint build serves
-# every configuration of its primal.
+# (``generate_config_lane_source``) and lowered for the native lane
+# interpreter; its numpy source is compiled only when a call first takes
+# the numpy path.  :func:`lower_config_pool` then derives, per proposal
+# pool, the lane parameters (rounding selectors, cycle-charge vectors,
+# constant values) that specialize the kernel to each configuration at
+# *runtime*.  Lowering runs the exact dtype re-inference
+# ``apply_precision`` performs — so each lane's rounding points and
+# cycle charges match the per-config scalar path bit for bit — but
+# compiles nothing.  :func:`lower_adjoint_pool` does the same for an
+# error-estimating adjoint: one adjoint build serves every configuration
+# of its primal.
 
 
 class ConfigLoweringError(ReproError):
@@ -678,17 +681,26 @@ def lower_adjoint_pool(
 
 
 class ConfigLaneKernel:
-    """A compiled precision-parameterized kernel.
+    """A precision-parameterized kernel, rendered once.
 
-    Compiled once per IR fingerprint; specialized to each proposal pool
-    by :meth:`lower` (cheap — typing passes only) and executed on all
-    lanes at once by calling :attr:`raw` with the pool's lane
-    parameters appended.
+    Built once per IR fingerprint; specialized to each proposal pool by
+    :meth:`lower` (cheap — typing passes only) and executed on all lanes
+    at once, with the pool's lane parameters appended to the arguments.
+    Kernels on the native engine run on the lane interpreter; the
+    rendered numpy program is compiled into :attr:`raw` on the first
+    call that takes the numpy path (every call of a kernel off the
+    native engine, replays of the others).
     """
 
-    def __init__(self, program: ConfigLaneProgram, raw: Callable) -> None:
+    def __init__(
+        self,
+        program: ConfigLaneProgram,
+        bindings: Callable[[], Dict[str, object]],
+    ) -> None:
         self.program = program
-        self.raw = raw
+        #: the generated module's globals, made when :attr:`raw` compiles
+        self._bindings = bindings
+        self._raw: Optional[Callable] = None
         #: whether calls go to the C lane interpreter at all: only
         #: kernels with a loop repay their lowering (see
         #: :func:`repro.codegen.native.worth_lowering`)
@@ -697,6 +709,26 @@ class ConfigLaneKernel:
         #: calls of a native-engine kernel to the numpy path (``raw``)
         #: as counted fallbacks
         self.native: Optional[NativeKernel] = None
+
+    @property
+    def raw(self) -> Callable:
+        """The compiled numpy program (compiled on first access).
+
+        Threads racing here compile twice and keep either, equal,
+        function."""
+        raw = self._raw
+        if raw is None:
+            fn = self.program.fn
+            with obs_trace.span("codegen.compile", kernel=fn.name):
+                code = compile(
+                    self.program.source,
+                    filename=f"<repro-config:{fn.name}>",
+                    mode="exec",
+                )
+                ns: Dict[str, object] = {}
+                exec(code, self._bindings(), ns)  # noqa: S102 - compiling our own generated source
+            raw = self._raw = ns[fn.name]  # type: ignore[assignment]
+        return raw  # type: ignore[return-value]
 
     @property
     def source(self) -> str:
@@ -759,11 +791,14 @@ _CK_CAPACITY = obs_metrics.REGISTRY.gauge(
 )
 _CK_CAPACITY.set(_CONFIG_KERNEL_MEMO_MAX)
 _CK_COMPILE_SECONDS = obs_metrics.REGISTRY.histogram(
-    "repro_kernel_compile_seconds", "config-lane kernel codegen+compile latency"
+    "repro_kernel_compile_seconds",
+    "config-lane kernel codegen+lowering latency (the numpy compile is "
+    "deferred to first use)",
 )
 #: guards the memo and its counters against concurrent server worker
-#: threads (repro.serve); held across a miss's codegen+exec so one
-#: kernel is built per content key, never one per racing thread
+#: threads (repro.serve); held across a miss's codegen and native
+#: lowering so one kernel is built per content key, never one per
+#: racing thread
 _CONFIG_KERNEL_LOCK = threading.RLock()
 
 
@@ -787,13 +822,15 @@ def config_lane_kernel(
     extra_bindings: Optional[Dict[str, object]] = None,
     use_cache: bool = True,
 ) -> ConfigLaneKernel:
-    """Get (or build) the compiled config-lane kernel for ``fn``.
+    """Get (or build) the config-lane kernel for ``fn``.
 
-    Keyed by content fingerprint: re-registered kernels with identical
-    IR share one compiled kernel, while *any* semantic change to the IR
-    misses the cache — a pool of configurations can never reuse a stale
-    kernel because configurations enter at lowering time, not compile
-    time.
+    A build renders the program and lowers it for the native engine
+    when that runs the kernel; the numpy program compiles on first use
+    (:attr:`ConfigLaneKernel.raw`).  Keyed by content fingerprint:
+    re-registered kernels with identical IR share one kernel, while
+    *any* semantic change to the IR misses the cache — a pool of
+    configurations can never reuse a stale kernel because
+    configurations enter at lowering time, not build time.
 
     :raises UnvectorizableError: when ``fn`` cannot be rendered in
         config-batched form (callers fall back to the scalar path).
@@ -831,17 +868,14 @@ def config_lane_kernel(
             except UnvectorizableError:
                 _CK_UNVEC.inc()
                 raise
-            g = runtime.config_lane_bindings(approx=approx)
-            if extra_bindings:
-                g.update(extra_bindings)
-            code = compile(
-                program.source,
-                filename=f"<repro-config:{fn.name}>",
-                mode="exec",
-            )
-            ns: Dict[str, object] = {}
-            exec(code, g, ns)  # noqa: S102 - compiling our own generated source
-            kernel = ConfigLaneKernel(program, ns[fn.name])  # type: ignore[arg-type]
+
+            def bindings() -> Dict[str, object]:
+                g = runtime.config_lane_bindings(approx=approx)
+                if extra_bindings:
+                    g.update(extra_bindings)
+                return g
+
+            kernel = ConfigLaneKernel(program, bindings)
             if kernel.native_engine and not extra_bindings:
                 kernel.native = native.lower(program, approx)
         _CK_COMPILE_SECONDS.observe(time.perf_counter() - t0)

@@ -19,7 +19,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.codegen import native
-from repro.codegen.compile import CompiledFunction, compile_raw
+from repro.codegen.compile import (
+    CallingConvention,
+    CompiledFunction,
+    compile_raw,
+)
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.core.estimation import ErrorEstimationModule
@@ -72,7 +76,13 @@ def build_adjoint(
 
 
 class _AdjointRunner:
-    """Shared machinery: build, optimize, compile, and call an adjoint."""
+    """Shared machinery: build, optimize, compile, and call an adjoint.
+
+    The adjoint IR is built at construction; its Python code is
+    generated and compiled on the first call that runs on the Python
+    path (:attr:`compiled`), so an adjoint that only ever runs natively
+    or on lanes never compiles one.
+    """
 
     def __init__(
         self,
@@ -96,10 +106,11 @@ class _AdjointRunner:
             )
             self.adjoint = adjoint
             self.layout = adjoint.meta["adjoint"]
-            self.compiled: CompiledFunction = compile_raw(
-                adjoint, extra_bindings=extra_bindings
-            )
+            #: argument handling and traces, read off the IR
+            self.calling = CallingConvention(adjoint)
         _BUILD_SECONDS.observe(time.perf_counter() - t0)
+        self._extra_bindings = extra_bindings
+        self._compiled: Optional[CompiledFunction] = None
         self._n_primal_params = len(primal.params)
         # the native scalar engine (see _run): external error models
         # bind Python callables, so they stay on the Python path
@@ -112,17 +123,31 @@ class _AdjointRunner:
         #: Python one: C tapes are invisible to tracemalloc
         self.tape_bytes = 0
 
+    @property
+    def compiled(self) -> CompiledFunction:
+        """The adjoint compiled to Python, on first access.  Threads
+        racing here compile twice and keep either, equal, function."""
+        compiled = self._compiled
+        if compiled is None:
+            compiled = self._compiled = compile_raw(
+                self.adjoint, extra_bindings=self._extra_bindings
+            )
+        return compiled
+
     def lower(self) -> None:
-        """Lower the adjoint for the native scalar engine now — build
-        work, so that the next call already runs natively.  Threads
-        racing here lower twice and keep either, equal, kernel."""
+        """Do the build work the next call would do: lower the adjoint
+        for the native scalar engine, or compile its Python code when
+        Python is the engine the next call takes.  Threads racing here
+        lower twice and keep either, equal, kernel."""
         if not self._lowered:
             if self._loops and not self._python_only:
                 self._native = native.lower_scalar(self.adjoint)
             self._lowered = True
+        if self._native is None:
+            self.compiled  # noqa: B018 - compiles on first access
 
     def _run(self, args: List[object]) -> object:
-        """One call of the compiled adjoint.
+        """One call of the adjoint.
 
         An adjoint with a loop runs on the native scalar engine from its
         second call (or once :meth:`lower` ran): lowering costs more
@@ -135,7 +160,7 @@ class _AdjointRunner:
             self.lower()
             kern = self._native
             done, out = native.run(
-                kern, self.compiled.prepare(args) if kern else ()
+                kern, self.calling.prepare(args) if kern else ()
             )
             if done:
                 result, self.tape_bytes = out  # type: ignore[misc]
@@ -168,7 +193,7 @@ class _AdjointRunner:
                 array_grads[p.name] = g
                 full_args.append(g)
         result = self._run(full_args)
-        if self.compiled.traces:
+        if self.calling.traces:
             base, extras = result  # type: ignore[misc]
             traces = {k: v for k, v in extras.items() if k != "cost"}
         else:
@@ -358,10 +383,10 @@ def gradient(k: KernelLike, **kwargs: object) -> Gradient:
 
 # -- estimator reuse ----------------------------------------------------------
 #
-# Building an ErrorEstimator runs the reverse-mode transformation, the
-# optimization pipeline, and compilation — ~10-100ms of work that tuning
-# searches and sweep engines repeat for the *same* kernel/model pair over
-# and over.  The memo is content-addressed (IR fingerprint + model
+# Building an ErrorEstimator runs the reverse-mode transformation and
+# the optimization pipeline (compilation follows on first Python-path
+# use) — ~10-100ms of work that tuning searches and sweep engines
+# repeat for the *same* kernel/model pair over and over.  The memo is content-addressed (IR fingerprint + model
 # fingerprint + options), so re-registered kernels with identical IR and
 # equal model configurations share one compiled estimator.
 #
@@ -391,8 +416,10 @@ _MEMO_CAPACITY = obs_metrics.REGISTRY.gauge(
     "repro_memo_capacity", "estimator memo capacity"
 )
 _MEMO_CAPACITY.set(_ESTIMATOR_MEMO_MAX)
+#: estimator builds: the adjoint IR build, without the Python compile
+#: that each estimator defers to its first Python-path call
 _BUILD_SECONDS = obs_metrics.REGISTRY.histogram(
-    "repro_estimate_build_seconds", "adjoint build+compile latency"
+    "repro_estimate_build_seconds", "adjoint build latency"
 )
 _ADJOINT_BUILDS = obs_metrics.REGISTRY.counter(
     "repro_adjoint_builds_total",
@@ -401,7 +428,7 @@ _ADJOINT_BUILDS = obs_metrics.REGISTRY.counter(
 #: guards the memo and its counters: long-lived servers (repro.serve)
 #: share one process-wide memo across concurrent worker threads, and
 #: an unguarded read-modify-write would corrupt occupancy/hit counts.
-#: Held across a miss's compile too, so concurrent requests for the
+#: Held across a miss's build too, so concurrent requests for the
 #: same kernel/model pair build one estimator, not one per thread.
 _MEMO_LOCK = threading.RLock()
 
@@ -510,11 +537,12 @@ def _memo_stats() -> Dict[str, int]:
 def _work_stats() -> Dict[str, int]:
     """Process-cumulative build-side work counters (behind
     ``Session.stats()["work"]``): adjoint builds, estimator builds
-    (adjoint build + compile), config-batched estimates that fell
-    back to one estimator per configuration, and calls of kernels with
-    loops (config-lane and input-sweep batch kernels, and scalar
-    adjoints from their second call) run by the native interpreter or,
-    instead, on the numpy or Python path."""
+    (an adjoint build each; the compile waits for first use),
+    config-batched estimates that fell back to one estimator per
+    configuration, and calls of kernels with loops (config-lane and
+    input-sweep batch kernels, and scalar adjoints from their second
+    call) run by the native interpreter or, instead, on the numpy or
+    Python path."""
     from repro.codegen.native import NATIVE_FALLBACKS, NATIVE_RUNS
     from repro.sweep.batch import _CB_FALLBACKS
 

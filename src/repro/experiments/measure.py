@@ -71,8 +71,9 @@ def measure_chef(
 ) -> Measurement:
     """CHEF-FP analysis time/memory (adjoint built outside the clock).
 
-    Native lowering is build work too, done before the clock, so the
-    timed and the memory-measured runs take the same engine.
+    Native lowering, or the Python compile when Python runs the
+    adjoint, is build work too, done before the clock, so the timed
+    and the memory-measured runs take the same engine.
     """
     est = ErrorEstimator(
         k,

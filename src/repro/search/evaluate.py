@@ -154,9 +154,9 @@ class CandidateEvaluator:
         hits.
     :param error_metric: ``"worst"`` (default; max of actual and
         estimated), ``"actual"``, or ``"estimate"``.
-    :param config_batch: score proposal pools of two or more configs
-        pool-wise: the actual-error and cycle axes through the
-        compile-once config-batched counting kernel (``repro.codegen``
+    :param config_batch: score every proposal pool, a single config
+        included, pool-wise: the actual-error and cycle axes through
+        the build-once config-batched counting kernel (``repro.codegen``
         lane engine), and the estimated-error axis through one
         :meth:`~repro.core.api.ErrorEstimator.execute_config_batch`
         call on the kernel's own estimator, instead of one
@@ -227,10 +227,10 @@ class CandidateEvaluator:
 
     # -- preparation --------------------------------------------------------
     def prepare(self) -> None:
-        """Measure the reference points (and prewarm the reference
-        sweep) once.  Idempotent; called implicitly by evaluation and
+        """Measure the reference points, and build what the pools run
+        on, once.  Idempotent; called implicitly by evaluation and
         explicitly by :class:`ParallelEvaluator` before forking so
-        workers inherit the compiled artifacts."""
+        workers inherit the built artifacts."""
         if self._references is not None:
             return
         # one compiled counting variant serves every validation point
@@ -238,28 +238,21 @@ class CandidateEvaluator:
         self._references = [
             ReferencePoint(*run(args)) for args in self.points
         ]
-        if self.samples is not None:
-            # prewarm: the reference adjoint goes into the estimator memo
-            # pre-fork (pool estimates run on it; a sweep-cache hit
-            # below would not build it) with its config-lane kernel
-            # compiled, then the reference estimate
-            if self.estimate_model.cacheable:
-                est = cached_error_estimator(
-                    self.fn, model=self.estimate_model
-                )
-                if self.config_batch:
-                    est.config_batched.prepare(
-                        *build_args(self.fn, self.samples, self.fixed)
-                    )
-            run_sweep(
-                self.fn,
-                samples=self.samples,
-                fixed=self.fixed,
-                model=self.estimate_model,
-                cache=self.cache,
+        if (
+            self.samples is not None
+            and self.config_batch
+            and self.estimate_model.cacheable
+        ):
+            # the reference adjoint goes into the estimator memo with
+            # its config-lane kernel built: pool estimates (the empty
+            # configuration's included) run on it
+            cached_error_estimator(
+                self.fn, model=self.estimate_model
+            ).config_batched.prepare(
+                *build_args(self.fn, self.samples, self.fixed)
             )
-        # prewarm the config-batched kernel too: forked workers inherit
-        # the compiled lanes (it lives in the fingerprint-keyed memo)
+        # the config-batched counting kernel lives in the
+        # fingerprint-keyed memo, where forked workers inherit it
         self.pool_runner()
 
     @property
@@ -409,7 +402,7 @@ class CandidateEvaluator:
 
         runner = self.pool_runner()
         pool = [c for c in configs if c]
-        if runner is None or len(pool) < 2:
+        if runner is None or not pool:
             return [compute(c) for c in configs]
         try:
             values, costs = runner(pool, self.points)
@@ -444,11 +437,10 @@ class CandidateEvaluator:
         ``run_sweep`` key is looked up first, only the misses are
         batched, and each miss's lane report is stored under that key —
         the same entry a per-candidate ``run_sweep`` would write.
-        Empty (no samples, ``config_batch`` off, or a pool of fewer
-        than two) when the per-candidate path in :meth:`_finish` runs
-        the sweeps instead.
+        Empty (no samples, or ``config_batch`` off) when the
+        per-candidate path in :meth:`_finish` runs the sweeps instead.
         """
-        if self.samples is None or not self.config_batch or len(configs) < 2:
+        if self.samples is None or not self.config_batch:
             return {}
         args = build_args(self.fn, self.samples, self.fixed)
         store = resolve_cache(self.cache)

@@ -172,8 +172,16 @@ class SessionConfig:
         return cls.from_dict(json.loads(payload))
 
     def fingerprint(self) -> str:
-        """Stable content hash — the config half of result provenance."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+        """Stable content hash — the config half of result provenance.
+
+        Computed once per instance (fields are frozen) and kept outside
+        the dataclass fields, so ``to_dict``, ``==``, ``repr`` and
+        ``replace`` never see it."""
+        fp = self.__dict__.get("_fingerprint")
+        if fp is None:
+            fp = hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_fingerprint", fp)
+        return fp
 
     # -- derivation ----------------------------------------------------------
     def with_options(self, **changes: object) -> "SessionConfig":

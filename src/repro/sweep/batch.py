@@ -14,9 +14,13 @@ input points.  Two backends:
   counts, sensitivity traces) — results are identical either way, only
   slower.
 
-A batched variant is compiled lazily per *set of swept parameters* (the
+A batched variant is built lazily per *set of swept parameters* (the
 taint analysis — and therefore the generated code — depends on which
-parameters are arrays) and memoized on the estimator.
+parameters are arrays) and memoized on the estimator.  A variant that
+runs on the native lane interpreter (kernels with a loop, see
+:mod:`repro.codegen.native`) is lowered at once and renders and compiles
+its numpy source only when a call first takes the numpy path; the
+others render at once and compile on their first call.
 """
 
 from __future__ import annotations
@@ -179,9 +183,61 @@ def _scan_sweep_args(
     return batched, (1 if n is None else n)
 
 
-#: a compiled batch variant: raw callable, source, whether it runs on
-#: the native engine, and its native kernel (``None``: numpy path)
-_Variant = Tuple[object, str, bool, Optional["NativeKernel"]]
+class _Variant:
+    """A batch variant: the kernel for one swept-parameter set.
+
+    Rendered as numpy source (``generate_batch_source``) and compiled
+    on the first call that takes the numpy path; when the kernel runs on
+    the native engine, its lowering is built at once and the numpy
+    source waits for the first replay or fallback.
+    """
+
+    def __init__(
+        self,
+        est: "ErrorEstimator",
+        batched: frozenset,
+        engine: bool,
+        lowered: Optional["NativeKernel"],
+    ) -> None:
+        self.est = est
+        self.batched = batched
+        #: whether calls go to the native engine at all
+        self.engine = engine
+        #: the kernel lowered for the interpreter (``None``: numpy path)
+        self.lowered = lowered
+        self._source: Optional[str] = None
+        self._raw: Optional[object] = None
+
+    @property
+    def source(self) -> str:
+        """The generated numpy source (rendered on first access)."""
+        src = self._source
+        if src is None:
+            src = self._source = generate_batch_source(
+                self.est.adjoint_ir, set(self.batched)
+            )
+        return src
+
+    @property
+    def raw(self) -> object:
+        """The compiled numpy kernel (compiled on first access).
+        Threads racing here compile twice and keep either, equal,
+        function."""
+        raw = self._raw
+        if raw is None:
+            adj = self.est.adjoint_ir
+            g = runtime.batch_bindings()
+            for name, impl in self.est.module.bindings().items():
+                # user-bound scalar callables (external error models) are
+                # lifted elementwise so they flow through batch code
+                g[name] = (
+                    runtime.exactwise(impl) if callable(impl) else impl
+                )
+            ns: Dict[str, object] = {}
+            code = compile(self.source, f"<repro-batch:{adj.name}>", "exec")
+            exec(code, g, ns)  # noqa: S102 - our own generated source
+            raw = self._raw = ns[adj.name]
+        return raw
 
 
 class BatchedErrorEstimator:
@@ -193,40 +249,32 @@ class BatchedErrorEstimator:
         # (unvectorizable)
         self._variants: Dict[frozenset, Optional[_Variant]] = {}
 
-    # -- variant compilation ------------------------------------------------
+    # -- variant construction -----------------------------------------------
     def _variant(self, batched: frozenset) -> Optional[_Variant]:
         if batched not in self._variants:
             adj = self.est.adjoint_ir
-            try:
-                src = generate_batch_source(adj, set(batched))
-            except UnvectorizableError:
-                self._variants[batched] = None
-                return None
-            g = runtime.batch_bindings()
-            user = self.est.module.bindings()
-            for name, impl in user.items():
-                # user-bound scalar callables (external error models) are
-                # lifted elementwise so they flow through batch code
-                g[name] = (
-                    runtime.exactwise(impl) if callable(impl) else impl
-                )
-            ns: Dict[str, object] = {}
-            code = compile(src, f"<repro-batch:{adj.name}>", "exec")
-            exec(code, g, ns)  # noqa: S102 - our own generated source
             # the same kernel on the C lane interpreter, one lane per
-            # point (user-bound callables stay on the numpy path)
+            # point (user-bound callables stay on the numpy path); its
+            # lowering rejects exactly what the numpy renderer rejects,
+            # so a lowered kernel defers the render
             engine = native.worth_lowering(adj)
             lowered = None
-            if engine and not user:
-                lowered = native.lower_batch(adj, set(batched))
-            self._variants[batched] = (ns[adj.name], src, engine, lowered)
+            try:
+                if engine and not self.est.module.bindings():
+                    lowered = native.lower_batch(adj, set(batched))
+                variant = _Variant(self.est, batched, engine, lowered)
+                if lowered is None:
+                    variant.source  # noqa: B018 - renders on first access
+            except UnvectorizableError:
+                variant = None
+            self._variants[batched] = variant
         return self._variants[batched]
 
     def batch_source(self, batched: Sequence[str]) -> Optional[str]:
         """Generated vectorized source for a swept-parameter set (None if
         the kernel is unvectorizable for that set)."""
         v = self._variant(frozenset(batched))
-        return v[1] if v is not None else None
+        return v.source if v is not None else None
 
     # -- execution ----------------------------------------------------------
     def execute(self, *args: object) -> BatchReport:
@@ -241,7 +289,7 @@ class BatchedErrorEstimator:
         batched, n = _scan_sweep_args(primal, args)
 
         variant = None
-        if batched and not self.est._runner.compiled.traces:
+        if batched and not self.est._runner.calling.traces:
             variant = self._variant(frozenset(batched))
         if variant is not None:
             return self._execute_vectorized(args, batched, n, variant)
@@ -277,13 +325,14 @@ class BatchedErrorEstimator:
 
                     v = round_to(float(a), dt)
                 full.append(v)
-        raw, _, engine, lowered = variant
         done, result = (
-            native.run(lowered, None, full) if engine else (False, None)
+            native.run(variant.lowered, None, full)
+            if variant.engine
+            else (False, None)
         )
         if not done:
             with np.errstate(all="ignore"):
-                result = raw(*full)  # type: ignore[operator]
+                result = variant.raw(*full)  # type: ignore[operator]
         if not isinstance(result, tuple):
             result = (result,)
         named: Dict[Tuple[str, ...], np.ndarray] = {}
@@ -475,7 +524,7 @@ class ConfigBatchedEstimator:
         array parameters, unvectorizable structure)."""
         est = self.est
         if (
-            est._runner.compiled.traces
+            est._runner.calling.traces
             or not est.module.model.cacheable
             or any(
                 isinstance(p.type, ArrayType) for p in est.primal_ir.params

@@ -80,6 +80,21 @@ class TestSessionConfig:
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
 
+    def test_fingerprint_computed_once_outside_the_fields(self):
+        from dataclasses import asdict
+
+        cfg = SessionConfig(seed=4)
+        blank = (cfg.to_dict(), asdict(cfg), repr(cfg))
+        fp = cfg.fingerprint()
+        assert cfg.fingerprint() is fp  # kept, not recomputed
+        assert (cfg.to_dict(), asdict(cfg), repr(cfg)) == blank
+        assert cfg == SessionConfig(seed=4)
+        # a derived copy gets its own fingerprint
+        other = cfg.with_options(seed=5)
+        assert other.fingerprint() == SessionConfig(seed=5).fingerprint()
+        assert other.fingerprint() != fp
+        assert cfg.with_options(seed=4).fingerprint() == fp
+
     def test_with_options(self):
         cfg = SessionConfig().with_options(budget=16)
         assert cfg.budget == 16
