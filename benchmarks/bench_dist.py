@@ -77,9 +77,7 @@ def run_bench(
             print(f"bench-dist: {msg}", flush=True)
 
     faults.disable()
-    config = SessionConfig(
-        workers=0, lease_ttl_s=10.0, fault_plan=_stall_plan(delay_s)
-    )
+    config = SessionConfig(lease_ttl_s=10.0, fault_plan=_stall_plan(delay_s))
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = Path(tmp)
 

@@ -1,13 +1,12 @@
 """Precision-search benchmark: Pareto search vs the greedy baseline.
 
-Runs the app search scenarios (Black-Scholes, k-Means) end-to-end,
-serial and parallel, and records: the Pareto front, whether it
-dominates or matches the paper's greedy choice, the evaluation count,
-and the serial/parallel wall-clock — asserting along the way that the
-front is non-empty, dominance-consistent, and bit-identical between the
-serial and parallel evaluators.
+Runs the app search scenarios (Black-Scholes, k-Means) end-to-end and
+records: the Pareto front, whether it dominates or matches the paper's
+greedy choice, the evaluation count, and the cold wall-clock —
+asserting along the way that the front is non-empty and
+dominance-consistent.
 
-The serial run executes against a persistent :class:`RunStore`; a
+The run executes against a persistent :class:`RunStore`; a
 subsequent warm resume of the same run is timed too, asserting it
 re-evaluates **zero** candidates and reproduces the front bit-for-bit
 (the ``warm_resume_speedup`` column).
@@ -62,12 +61,11 @@ def _front_fingerprint(res: SearchResult) -> List[tuple]:
 
 
 def run_app(
-    app: str, budget: Optional[int], workers: int, seed: int = 0
+    app: str, budget: Optional[int], seed: int = 0
 ) -> Dict[str, object]:
     scen = _scenario(app, budget)
-    # cold start for both timed runs: the process-wide estimator memo
-    # and config-kernel cache would otherwise hand the second run the
-    # first run's compiles
+    # cold start: the process-wide estimator memo and config-kernel
+    # cache would otherwise hand the run an earlier app's compiles
     clear_estimator_memo()
     clear_config_kernel_cache()
     with tempfile.TemporaryDirectory() as store_dir:
@@ -75,24 +73,15 @@ def run_app(
         serial = scen.run(seed=seed, store=store_dir)
         serial_s = time.perf_counter() - t0
         # how much compiled-estimator reuse the serial run enjoyed
-        # (forked workers inherit whatever is memoized pre-fork)
         memo_after_serial = Session().estimator_memo_stats()
         # warm resume: the completed run restores straight from the
         # store — zero candidates re-evaluated, front bit-identical
         t0 = time.perf_counter()
         warm = scen.run(seed=seed, store=store_dir, resume=True)
         warm_s = time.perf_counter() - t0
-    clear_estimator_memo()
-    clear_config_kernel_cache()
-    t0 = time.perf_counter()
-    parallel = scen.run(seed=seed, workers=workers)
-    parallel_s = time.perf_counter() - t0
 
     assert len(serial.front) > 0, f"{app}: empty Pareto front"
     assert serial.front.is_consistent(), f"{app}: inconsistent front"
-    assert _front_fingerprint(serial) == _front_fingerprint(parallel), (
-        f"{app}: parallel front differs from serial"
-    )
     assert _front_fingerprint(serial) == _front_fingerprint(warm), (
         f"{app}: warm-resumed front differs from the stored run"
     )
@@ -117,10 +106,7 @@ def run_app(
         "front_size": len(serial.front),
         "dominance_consistent": serial.front.is_consistent(),
         "baseline_covered": baseline_covered,
-        "parallel_identical": True,
-        "workers": workers,
         "serial_s": serial_s,
-        "parallel_s": parallel_s,
         "warm_resume_s": warm_s,
         "warm_recomputed": warm_recomputed,
         "warm_resume_speedup": (
@@ -133,9 +119,7 @@ def run_app(
     }
 
 
-def build_report(
-    budget: Optional[int], workers: int, seed: int = 0
-) -> Dict[str, object]:
+def build_report(budget: Optional[int], seed: int = 0) -> Dict[str, object]:
     import os
 
     return {
@@ -144,16 +128,14 @@ def build_report(
         "description": (
             "cost-aware Pareto precision search (greedy ladder + "
             "delta debugging + annealing) vs the paper's one-shot "
-            "greedy pass; serial vs forked parallel evaluation "
-            "(parallel wall-clock only improves with cpu_count > 1 — "
-            "correctness is asserted bit-identical regardless); the "
-            "serial run persists to a RunStore and a warm resume is "
-            "timed (zero candidates re-evaluated, bit-identical front)"
+            "greedy pass, cold in-process search; the run persists to "
+            "a RunStore and a warm resume is timed (zero candidates "
+            "re-evaluated, bit-identical front)"
         ),
         "cpu_count": os.cpu_count(),
         "results": [
-            run_app("blackscholes", budget, workers, seed),
-            run_app("kmeans", budget, workers, seed),
+            run_app("blackscholes", budget, seed),
+            run_app("kmeans", budget, seed),
         ],
     }
 
@@ -164,7 +146,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--budget", type=int, default=None,
         help="cap the per-scenario evaluation budget (CI smoke)",
     )
-    ap.add_argument("--workers", type=int, default=2)
     ap.add_argument(
         "--seed", type=int, default=0,
         help="strategy RNG seed (recorded in the report for "
@@ -176,7 +157,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = ap.parse_args(argv)
     from _provenance import with_timing
 
-    report = with_timing(build_report, args.budget, args.workers, args.seed)
+    report = with_timing(build_report, args.budget, args.seed)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     for r in report["results"]:  # type: ignore[union-attr]
         best = r["best_under_threshold"]
@@ -185,7 +166,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{r['app']:14s} evals={r['n_evaluated']:3d} "
             f"front={r['front_size']:2d} "
             f"baseline_covered={r['baseline_covered']} "
-            f"serial {r['serial_s']:6.2f}s parallel {r['parallel_s']:6.2f}s "
+            f"cold {r['serial_s']:6.2f}s "
             f"warm-resume {r['warm_resume_s']:5.2f}s"
             + (
                 f"  best@threshold {speedup:.3f}x"
@@ -198,7 +179,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         r["front_size"] > 0
         and r["dominance_consistent"]
         and r["baseline_covered"]
-        and r["parallel_identical"]
         and r["warm_recomputed"] == 0
         for r in report["results"]  # type: ignore[union-attr]
     )
@@ -209,13 +189,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def test_search_blackscholes_smoke():
-    r = run_app("blackscholes", budget=12, workers=2)
+    r = run_app("blackscholes", budget=12)
     assert r["front_size"] > 0
     assert r["dominance_consistent"] and r["baseline_covered"]
 
 
 def test_search_kmeans_smoke():
-    r = run_app("kmeans", budget=8, workers=2)
+    r = run_app("kmeans", budget=8)
     assert r["front_size"] > 0
     assert r["dominance_consistent"] and r["baseline_covered"]
 

@@ -2,16 +2,16 @@
 
 The robustness layer's contract is that faults change *timing and
 telemetry, never results*: every injected failure is either absorbed
-(retry, recompute, respawn, quarantine-and-miss) or surfaced as a
+(retry, recompute, quarantine-and-miss) or surfaced as a
 structured error — and an absorbed fault leaves the converged output
 bit-identical to a fault-free run.  This smoke proves it in three
 phases:
 
-1. **Reference** — a fault-free serial search, fronts and stored
-   records captured;
+1. **Reference** — a fault-free search, fronts and stored records
+   captured;
 2. **Chaos search** — the same search under a seeded
    :class:`repro.faults.FaultPlan` (torn checkpoint write, ENOSPC
-   bursts on store and cache, a hard-killed parallel worker) —
+   bursts on the store) —
    asserted bit-identical to the reference, with nonzero
    ``repro_faults_injected_total`` and ``repro_retries_total``;
 3. **Chaos serve** — an in-process serve round-trip (tune + search
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import tempfile
 import time
@@ -59,13 +58,6 @@ CHAOS_PLAN = {
         {"site": "store.write", "kind": "torn", "nth": [2]},
         # transient disk-full bursts, absorbed by the retry schedule
         {"site": "store.write", "kind": "enospc", "nth": [4, 7]},
-        # a hard-killed parallel worker: hang detection + respawn
-        {
-            "site": "worker.exec",
-            "kind": "worker-kill",
-            "nth": [1],
-            "max_fires": 1,
-        },
     ],
 }
 
@@ -116,10 +108,6 @@ def run_smoke(verbose: bool = True) -> None:
         if verbose:
             print(f"chaos-smoke: {msg}", flush=True)
 
-    # killed workers must be detected in seconds, not the production
-    # default — set before any evaluator is constructed
-    os.environ["REPRO_WORKER_TIMEOUT"] = "15"
-
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = Path(tmp)
 
@@ -142,9 +130,7 @@ def run_smoke(verbose: bool = True) -> None:
         retries_before = _counter("repro_retries_total")
         chaos_store = RunStore(tmp_path / "chaos-runs")
         chaos_sess = Session(
-            SessionConfig(
-                workers=2, fault_plan=json.dumps(CHAOS_PLAN)
-            ),
+            SessionConfig(fault_plan=json.dumps(CHAOS_PLAN)),
             store=chaos_store,
         )
         assert faults.is_enabled()

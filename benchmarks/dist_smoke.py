@@ -75,7 +75,7 @@ def run_smoke(verbose: bool = True) -> None:
         # ---- phase 1: serial single-process reference -------------------
         t0 = time.perf_counter()
         ref_store = RunStore(tmp_path / "ref")
-        ref_sess = Session(SessionConfig(workers=0), store=ref_store)
+        ref_sess = Session(store=ref_store)
         sharded = shard_entries(
             [PlanEntry.from_dict(ENTRY)], SHARDS, default_seed=0
         )
@@ -108,7 +108,6 @@ def run_smoke(verbose: bool = True) -> None:
             shards=SHARDS,
             defaults=DEFAULTS,
             session_config=SessionConfig(
-                workers=0,
                 lease_ttl_s=1.0,
                 fault_plan=json.dumps(LEASE_CHAOS),
             ),

@@ -70,10 +70,10 @@ def rows() -> List[List[str]]:
                 "full search",
                 r["app"],
                 f"budget {r['budget']}, front {r['front_size']}",
-                f"{r['serial_s']:.2f} s serial",
-                f"{r['parallel_s']:.2f} s ×{r['workers']} workers",
+                f"{r['serial_s']:.2f} s cold",
+                "—",
                 speed,
-                "bit-identical",
+                "—",
             ]
         )
         warm = r.get("warm_resume_s")

@@ -19,7 +19,6 @@ import repro
 from repro.apps import blackscholes as bs
 
 BUDGET = 48
-WORKERS = 0  # set >= 2 to evaluate candidate pools in worker processes
 
 
 def bar(value: float, lo: float, hi: float, width: int = 28) -> str:
@@ -41,7 +40,7 @@ def main() -> None:
         f"{len(scenario.candidates)} demotion candidates, "
         f"threshold {scenario.threshold:g}, budget {BUDGET}\n"
     )
-    result = sess.search(scenario, budget=BUDGET, workers=WORKERS, seed=0)
+    result = sess.search(scenario, budget=BUDGET, seed=0)
 
     points = result.front.points
     lo = min(p.cycles for p in points)

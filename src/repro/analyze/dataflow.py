@@ -66,14 +66,6 @@ class Dataflow:
     #: assignments recomputed on every iteration
     loop_invariant: List[Tuple[int, int]] = field(default_factory=list)
 
-    def def_use(self) -> Dict[int, Set[Tuple[int, str]]]:
-        """Inverse of :attr:`use_def`: uses reached by each def site."""
-        out: Dict[int, Set[Tuple[int, str]]] = {}
-        for (stmt, var), sites in self.use_def.items():
-            for site in sites:
-                out.setdefault(site, set()).add((stmt, var))
-        return out
-
 
 def stmt_reads(s: N.Stmt) -> Set[str]:
     """Variable (and array-base) names read by one statement."""

@@ -80,7 +80,6 @@ def _session_for(args):
         options["demote_to"] = args.demote_to
     config = SessionConfig(
         seed=getattr(args, "seed", 0),
-        workers=getattr(args, "workers", 0),
         strategies=_strategies(args) or SessionConfig().strategies,
         fault_plan=getattr(args, "faults", None),
         **options,  # type: ignore[arg-type]
@@ -387,9 +386,6 @@ def cmd_dist_run(args) -> int:
         args.parser.error("--plan and --all are mutually exclusive")
     config_kwargs: Dict[str, object] = {
         "seed": args.seed,
-        # parallelism is across entries (the fleet), not inside one
-        # search — each claimed entry evaluates serially
-        "workers": 0,
         "strategies": _strategies(args) or SessionConfig().strategies,
         "fault_plan": args.faults,
     }
@@ -620,10 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max computed candidate evaluations (default: scenario)",
     )
     sp.add_argument(
-        "--workers", type=int, default=0,
-        help=">= 2 evaluates candidate pools in that many processes",
-    )
-    sp.add_argument(
         "--strategies", default="",
         help="comma-separated strategy names (default: greedy,delta,"
              "anneal)",
@@ -682,7 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--budget", type=int, default=None)
     sp.add_argument("--threshold", type=float, default=None)
-    sp.add_argument("--workers", type=int, default=0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--strategies", default="")
     sp.add_argument("--cache", default=None)

@@ -9,6 +9,7 @@ exit to preserve the IR's by-reference array semantics.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import OrderedDict
@@ -800,6 +801,16 @@ _CK_COMPILE_SECONDS = obs_metrics.REGISTRY.histogram(
 #: lowering so one kernel is built per content key, never one per
 #: racing thread
 _CONFIG_KERNEL_LOCK = threading.RLock()
+
+
+def _reinit_config_kernel_lock() -> None:
+    # a fork mid-build must not hand the child a lock held by a thread
+    # that does not exist in it
+    global _CONFIG_KERNEL_LOCK
+    _CONFIG_KERNEL_LOCK = threading.RLock()
+
+
+os.register_at_fork(after_in_child=_reinit_config_kernel_lock)
 
 
 def _eps_marks(fn: N.Function) -> tuple:

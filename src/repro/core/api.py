@@ -11,6 +11,7 @@ friendly calling convention.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import OrderedDict
@@ -392,10 +393,10 @@ def gradient(k: KernelLike, **kwargs: object) -> Gradient:
 #
 # Process sharing: compiled estimators hold code objects and cannot be
 # pickled, so the memo is shared with worker processes by *inheritance*
-# — a fork-started pool snapshots whatever the parent memoized
-# (copy-on-write), and each worker's memo then grows independently.
-# Parallel search drivers (repro.search.ParallelEvaluator) prewarm the
-# parent memo before forking for exactly this reason.
+# — a fork-started fleet worker (repro.dist) snapshots whatever the
+# parent memoized (copy-on-write), and each worker's memo then grows
+# independently.  run_fleet prewarms the parent memo before forking
+# for exactly this reason.
 
 _ESTIMATOR_MEMO: "OrderedDict[tuple, ErrorEstimator]" = OrderedDict()
 _ESTIMATOR_MEMO_MAX = 64
@@ -431,6 +432,16 @@ _ADJOINT_BUILDS = obs_metrics.REGISTRY.counter(
 #: Held across a miss's build too, so concurrent requests for the
 #: same kernel/model pair build one estimator, not one per thread.
 _MEMO_LOCK = threading.RLock()
+
+
+def _reinit_memo_lock() -> None:
+    # a fork while another thread builds an estimator must not leave
+    # the child waiting on a lock nobody in it will release
+    global _MEMO_LOCK
+    _MEMO_LOCK = threading.RLock()
+
+
+os.register_at_fork(after_in_child=_reinit_memo_lock)
 
 
 def _memo_key(
@@ -498,7 +509,7 @@ def warm_start_estimator_memo(
     Returns the number of estimators newly compiled (already-memoized
     combinations are skipped; uncacheable models are ignored).
 
-    Two callers benefit: parallel search drivers fork worker pools that
+    Two callers benefit: the distributed fleet forks workers that
     inherit whatever the parent memoized (copy-on-write), so warming
     the memo *before* the fork turns per-worker compiles into shared
     ones; and multi-scenario orchestrations (resumed or not) front-load

@@ -1,11 +1,11 @@
 """Deterministic, seedable fault injection for every I/O boundary.
 
 The failure paths this library promises — atomic checkpoints, cache
-degradation to recompute, journal recovery, bounded worker respawn —
+degradation to recompute, journal recovery, lease stealing —
 are only contracts if something exercises them on demand.  This
 package is that something: a process-wide registry of **fault sites**
-(``store.write``, ``cache.read``, ``journal.append``, ``worker.exec``,
-``http.accept``, ...) that the I/O helpers probe with one call::
+(``store.write``, ``cache.read``, ``journal.append``, ``http.accept``,
+``lease.acquire``, ...) that the I/O helpers probe with one call::
 
     from repro import faults
 
@@ -25,9 +25,9 @@ hot paths pay nothing for being injectable (tracemalloc-asserted in
 
 Enable through :func:`enable` (a plan object), ``SessionConfig.
 fault_plan`` / ``--faults`` (inline JSON or a file path), or the
-``REPRO_FAULTS`` environment variable (read at import).  Forked search
-workers inherit the active plan; ``worker.exec`` decisions are made
-parent-side so per-site call counts stay globally deterministic.
+``REPRO_FAULTS`` environment variable (read at import).  Fleet
+workers (:mod:`repro.dist`) enable the plan from their own session
+config, so each process counts its own site calls.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class ActiveFaults:
     Thread-safe: one lock guards the per-site call counters and
     per-spec fire counts (sites are probed from the asyncio loop,
     worker threads, and the search driver concurrently).  Forked
-    processes inherit a *copy* — their counters diverge, which is why
-    process-kill decisions are made in the parent.
+    processes inherit a *copy*, whose counters diverge from the
+    parent's.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -97,8 +97,8 @@ class ActiveFaults:
 
         Raise-kind faults (``oserror``/``enospc``) raise
         :class:`InjectedFaultError`; ``delay`` sleeps and returns
-        ``None`` (transparent to the caller); action kinds (``torn``,
-        ``worker-kill``) return the spec for the site to act on.
+        ``None`` (transparent to the caller); the action kind ``torn``
+        returns the spec for the site to act on.
         """
         fired: Optional[FaultSpec] = None
         with self._lock:
@@ -127,7 +127,7 @@ class ActiveFaults:
         if fired.kind == "delay":
             time.sleep(fired.delay_s)
             return None
-        return fired  # torn / worker-kill: the site acts on the spec
+        return fired  # torn: the site acts on the spec
 
     def stats(self) -> Dict[str, object]:
         """Call and firing counts, JSON-ready."""
@@ -149,6 +149,18 @@ class ActiveFaults:
 
 _STATE_LOCK = threading.Lock()
 _ACTIVE: Optional[ActiveFaults] = None
+
+
+def _reinit_state_lock() -> None:
+    # the child of a fork gets fresh locks: one held by another thread
+    # at fork time would never be released in the child
+    global _STATE_LOCK
+    _STATE_LOCK = threading.Lock()
+    if _ACTIVE is not None:
+        _ACTIVE._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reinit_state_lock)
 
 
 def check(site: str) -> Optional[FaultSpec]:

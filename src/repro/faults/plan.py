@@ -29,21 +29,20 @@ from repro.util.errors import ConfigError, ReproError
 #: * ``torn`` — an *action* kind: the I/O helper truncates the payload
 #:   mid-write and completes silently, simulating a post-crash torn
 #:   page that only the read-side checksum can catch;
-#: * ``delay`` — sleep ``delay_s`` at the site (stall, not failure);
-#: * ``worker-kill`` — an *action* kind: the parallel evaluator hard-
-#:   kills (``os._exit``) the worker that draws the poisoned block.
-KINDS = ("oserror", "enospc", "torn", "delay", "worker-kill")
+#: * ``delay`` — sleep ``delay_s`` at the site (stall, not failure).
+KINDS = ("oserror", "enospc", "torn", "delay")
 
-#: the sites wired through the stack (new sites need no registration —
-#: this tuple is documentation and the README table's source of truth)
+#: the sites wired through the stack — a spec naming any other site
+#: could never fire, so it is rejected (this tuple is also the README
+#: table's source of truth)
 KNOWN_SITES = (
     "store.write",
     "store.read",
     "cache.write",
     "cache.read",
+    "csv.write",
     "journal.append",
     "journal.read",
-    "worker.exec",
     "http.accept",
     "lease.acquire",
     "lease.renew",
@@ -82,7 +81,7 @@ class FaultSpec:
     ``probability`` per call.  ``max_fires`` bounds total firings.
     """
 
-    #: injection site name (``store.write``, ``worker.exec``, ...)
+    #: injection site name (``store.write``, ``cache.read``, ...)
     site: str
     #: one of :data:`KINDS`
     kind: str
@@ -103,9 +102,10 @@ class FaultSpec:
                 f"fault kind must be one of {list(KINDS)}, "
                 f"got {self.kind!r}"
             )
-        if not isinstance(self.site, str) or not self.site:
+        if self.site not in KNOWN_SITES:
             raise ConfigError(
-                f"fault site must be a non-empty name, got {self.site!r}"
+                f"fault site must be one of {list(KNOWN_SITES)}, "
+                f"got {self.site!r}"
             )
         if isinstance(self.nth, int):
             object.__setattr__(self, "nth", (self.nth,))

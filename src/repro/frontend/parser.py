@@ -110,7 +110,6 @@ class _KernelParser:
         self.resolve_kernel = resolve_kernel or (lambda _name: None)
         self.types: Dict[str, Type] = {}
         self.ret_dtype: Optional[DType] = None
-        self._tmp_counter = 0
         self._inline_counter = 0
 
     # -- helpers -------------------------------------------------------------
@@ -119,10 +118,6 @@ class _KernelParser:
         return FrontendError(
             f"{self.fndef.name}:{line}: {msg}"
         )
-
-    def _fresh_tmp(self) -> str:
-        self._tmp_counter += 1
-        return f"_t{self._tmp_counter}"
 
     def _dtype_of(self, name: str, node: ast.AST) -> Type:
         if name not in self.types:

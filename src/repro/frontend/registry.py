@@ -8,6 +8,7 @@ them, mirroring how Clad resolves calls through Clang's symbol table.
 
 from __future__ import annotations
 
+import os
 import threading
 from typing import Callable, Dict, Optional
 
@@ -18,6 +19,16 @@ from repro.ir.validate import validate_function
 
 _REGISTRY: Dict[str, "Kernel"] = {}
 _REGISTRY_LOCK = threading.Lock()
+
+
+def _reinit_registry_lock() -> None:
+    # a fork while another thread registers a kernel must not leave
+    # the child waiting on a lock nobody in it will release
+    global _REGISTRY_LOCK
+    _REGISTRY_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reinit_registry_lock)
 
 
 def get_kernel(name: str) -> Optional["Kernel"]:
@@ -96,9 +107,3 @@ def kernel(fn: Callable) -> Kernel:
             pass
         _REGISTRY[ir.name] = k
     return k
-
-
-def clear_registry() -> None:
-    """Drop all registered kernels (test isolation helper)."""
-    with _REGISTRY_LOCK:
-        _REGISTRY.clear()

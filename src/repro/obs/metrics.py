@@ -32,6 +32,7 @@ Quick use::
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
@@ -281,6 +282,15 @@ class MetricsRegistry:
             lines.append(f"{name}_max {_fmt(snap['max'])}")
         return "\n".join(lines) + "\n"
 
+    def _reinit_lock(self) -> None:
+        """Give the registry and every instrument a fresh lock — the
+        fork-child handler: a lock another thread held at fork time
+        would never be released in the child."""
+        self._lock = threading.RLock()
+        for table in (self._counters, self._gauges, self._histograms):
+            for instrument in table.values():
+                instrument._lock = self._lock  # type: ignore[attr-defined]
+
     def reset(self, prefix: Optional[str] = None) -> None:
         """Zero every instrument (or only those whose name starts with
         ``prefix``).  Instruments stay registered; used by the cache
@@ -299,6 +309,7 @@ class MetricsRegistry:
 
 #: the process-wide registry every subsystem folds its telemetry into
 REGISTRY = MetricsRegistry()
+os.register_at_fork(after_in_child=REGISTRY._reinit_lock)
 
 
 def render_prom() -> str:

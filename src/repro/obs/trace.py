@@ -19,9 +19,9 @@ file, carrying:
 * ``t_start`` / ``dur_s`` — monotonic (``perf_counter``) start offset
   from the tracer's epoch plus duration, immune to wall-clock steps;
   ``ts`` is the wall-clock start for human correlation;
-* ``thread`` / ``pid`` — writer attribution: forked search workers
-  inherit the tracer and append to the same file, and their records
-  are distinguished by pid;
+* ``thread`` / ``pid`` — writer attribution: forked fleet workers
+  (:mod:`repro.dist`) inherit the tracer and append to the same file,
+  and their records are distinguished by pid;
 * ``status`` — ``"ok"``, or ``"error:<ExcType>"`` when the traced
   block raised (the exception still propagates).
 
@@ -256,6 +256,18 @@ class Tracer:
 
 _STATE_LOCK = threading.Lock()
 _TRACER: Optional[Tracer] = None
+
+
+def _reinit_state_lock() -> None:
+    # the child of a fork gets fresh locks: one held by another thread
+    # at fork time would never be released in the child
+    global _STATE_LOCK
+    _STATE_LOCK = threading.Lock()
+    if _TRACER is not None:
+        _TRACER._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reinit_state_lock)
 
 
 def enable(path: Union[None, str, Path] = None) -> Tracer:

@@ -20,10 +20,6 @@ multi-objective search over (error, modelled cycles):
   random restarts (exhaustive enumeration as the small-kernel
   fallback), lockstep population annealing proposing whole generations,
   and plain exhaustive search;
-* :mod:`~repro.search.parallel` — :class:`ParallelEvaluator` fans
-  candidate pools out over forked worker processes as contiguous config
-  blocks, bit-identical to the serial path, with compiled-estimator
-  construction memoized per worker;
 * :mod:`~repro.search.pareto` — :class:`ParetoFront` with dominance
   pruning and per-candidate provenance;
 * :mod:`~repro.search.api` — the :func:`run_search` driver and
@@ -40,7 +36,8 @@ multi-objective search over (error, modelled cycles):
   (``python -m repro plan --plan plan.json --store runs/``).
 
 The entry point is :meth:`repro.session.Session.search` /
-``session.plan`` / ``session.runs``.
+``session.plan`` / ``session.runs``.  A search runs serially in-process;
+process parallelism is across searches (:mod:`repro.dist`).
 """
 
 from repro.search.api import SearchResult, search_run_id
@@ -55,7 +52,6 @@ from repro.search.orchestrator import (
     SearchOrchestrator,
     shard_entries,
 )
-from repro.search.parallel import ParallelEvaluator
 from repro.search.pareto import FrontPoint, ParetoFront, dominates, union_fronts
 from repro.search.scenario import SearchScenario
 from repro.search.store import RunStore
@@ -73,7 +69,6 @@ __all__ = [
     "DEFAULT_STRATEGIES",
     "EvaluatedCandidate",
     "FrontPoint",
-    "ParallelEvaluator",
     "ParetoFront",
     "PlanEntry",
     "PlanRun",

@@ -14,7 +14,6 @@ session facade::
         samples={"sptprice": spt, "volatility": vol},
         fixed={"strike": 100.0, "rate": 0.05, "otime": 0.5, "otype": 0},
         budget=48,
-        workers=4,
     )
     print(result.front)          # the (error, cycles) Pareto front
     result.best_under(1e-6)      # cheapest config within threshold
@@ -23,8 +22,10 @@ The driver wires the pieces together: per-candidate contributions are
 estimated once with the ADAPT demotion model (aggregated over the input
 sweep when one is given, exactly like robust tuning), the chosen
 strategies run in sequence over a shared budget and a shared
-(optionally process-parallel) evaluator, and the Pareto front is
-assembled from the full evaluation history.
+evaluator, and the Pareto front is assembled from the full evaluation
+history.  A search runs serially in-process: a proposal pool is scored
+in one config-batched lane execution.  Process parallelism is across
+searches (:func:`repro.dist.run_fleet`), not inside one.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from repro.ir.types import DType
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.search.evaluate import CandidateEvaluator, EvaluatedCandidate
-from repro.search.parallel import ParallelEvaluator
 from repro.search.pareto import ParetoFront
 from repro.search.store import (
     RunStore,
@@ -101,8 +101,6 @@ class SearchResult:
     candidates: Tuple[str, ...]
     #: estimated demotion contributions the strategies ranked by
     contributions: Dict[str, float]
-    #: whether worker processes actually evaluated candidate pools
-    parallel: bool = False
     #: evaluator/cache counters (config-batching, memo, sweep cache,
     #: compiled-kernel cache) — surfaced by the CLI and benchmarks
     stats: Optional[Dict[str, object]] = None
@@ -141,7 +139,6 @@ class SearchResult:
             "strategies": list(self.strategies),
             "candidates": list(self.candidates),
             "n_evaluated": self.n_evaluated,
-            "parallel": self.parallel,
             "front": self.front.to_dicts(),
             "baseline": self.baseline.to_dict() if self.baseline else None,
             "best_under_threshold": best.to_dict() if best else None,
@@ -260,7 +257,6 @@ def _restored_result(
             c: float(v)
             for c, v in (manifest.get("contributions") or {}).items()
         },
-        parallel=False,
         stats=stats,
         run_id=run_id,
         resumed=True,
@@ -342,7 +338,7 @@ def search_run_id(
     Lets callers (the job server, progress UIs) locate a run's store
     directory and poll :meth:`~repro.search.store.RunStore.run_progress`
     before/while the search executes.  Knobs that are bit-identical by
-    contract (``workers``, ``config_batch``) and pure plumbing
+    contract (``config_batch``) and pure plumbing
     (``cache``, ``store``) are not part of a run's identity.
     """
     return run_id_of(
@@ -405,7 +401,6 @@ def run_search(
     demote_to: DType = DType.F32,
     strategies: Sequence[str] = DEFAULT_STRATEGIES,
     budget: int = 64,
-    workers: int = 0,
     cache: CacheLike = None,
     aggregate: AggregatorSpec = "max",
     estimate_model=None,
@@ -443,8 +438,6 @@ def run_search(
         shared budget (default ``("greedy", "delta", "anneal")``).
     :param budget: maximum number of *computed* candidate evaluations
         (memoized re-proposals are free).
-    :param workers: ``>= 2`` fans candidate pools out over that many
-        forked worker processes; results are bit-identical to serial.
     :param cache: optional sweep result cache (shared by the
         contribution sweep and every candidate sweep).
     :param aggregate: sweep aggregation (default worst-case ``"max"``).
@@ -541,8 +534,12 @@ def run_search(
             )
             run_store.save_manifest(run_id, manifest)
             run_store.checkpoint(run_id, [])
-    ev_cls = ParallelEvaluator if workers and workers >= 2 else CandidateEvaluator
-    ev_kwargs = dict(
+    from repro.codegen.compile import _cache_stats
+    from repro.core.api import _work_stats
+
+    evaluator = CandidateEvaluator(
+        fn,
+        points,
         samples=samples,
         fixed=fixed,
         estimate_model=estimate_model,
@@ -553,12 +550,6 @@ def run_search(
         error_metric=error_metric,
         config_batch=config_batch,
     )
-    if ev_cls is ParallelEvaluator:
-        ev_kwargs["workers"] = int(workers)
-    from repro.codegen.compile import _cache_stats
-    from repro.core.api import _work_stats
-
-    evaluator = ev_cls(fn, points, **ev_kwargs)
     n_checkpoints = 0
     if run_store is not None or on_batch is not None:
         every = max(int(checkpoint_every), 1)
@@ -585,9 +576,8 @@ def run_search(
         "repro_search_runs_total", "precision searches driven"
     ).inc()
     # with tracing enabled, this run's spans are also collected in
-    # memory (forked workers' spans go to the trace file only) and
-    # aggregated into SearchResult.profile; with tracing disabled the
-    # collector stays empty and profile is None
+    # memory and aggregated into SearchResult.profile; with tracing
+    # disabled the collector stays empty and profile is None
     with obs_trace.collect() as trace_records, obs_trace.span(
         "search.run",
         kernel=fn.name,
@@ -595,116 +585,104 @@ def run_search(
         run_id=run_id,
         strategies=list(names),
     ) as root_span:
-        try:
-            with obs_trace.span("search.prepare", kernel=fn.name):
-                evaluator.prepare()
-            if restored:
-                evaluator.restore(restored)
-            if (
-                manifest is not None
-                and manifest.get("contributions") is not None
-            ):
-                # resume: the candidate set and contribution ranking were
-                # derived (and persisted) by the original run — reuse them
-                # instead of re-sweeping
-                cand = tuple(manifest["candidates"])
-                contributions = {
-                    c: float(v)
-                    for c, v in manifest["contributions"].items()
-                }
-            else:
-                with obs_trace.span("search.contributions"):
-                    registers = _register_contributions(
-                        fn, evaluator.points, samples, fixed, demote_to,
-                        aggregate, sweep_cache,
-                    )
-                if candidates is None:
-                    cand = _derive_candidates(registers)
-                    if analysis is not None:
-                        pruned = set(analysis.get("pruned") or ())
-                        kept = tuple(
-                            c for c in cand if c not in pruned
-                        )
-                        # never prune to an empty candidate space — a
-                        # space that small is cheap to search anyway
-                        if kept:
-                            cand = kept
-                else:
-                    cand = tuple(candidates)
-                contributions = {
-                    c: sum(
-                        e
-                        for r, e in registers.items()
-                        if matches_inlined(r, c)
-                    )
-                    for c in cand
-                }
-                if run_store is not None and manifest is not None:
-                    manifest["candidates"] = list(cand)
-                    manifest["contributions"] = contributions
-                    run_store.save_manifest(run_id, manifest)
-            problem = SearchProblem(
-                evaluator=evaluator,
-                candidates=cand,
-                threshold=float(threshold),
-                contributions=contributions,
-                demote_to=demote_to,
-                budget=int(budget),
-                seed=int(seed),
-            )
-            if restored:
-                # stored evaluations already consumed budget in the run
-                # that computed them
-                problem.charge(evaluator.n_restored)
-            for name in names:
-                if problem.exhausted:
-                    break
-                with obs_trace.span("search.strategy", strategy=name):
-                    get_strategy(name).run(problem)
-            front = ParetoFront(evaluator.history)
-            parallel = bool(getattr(evaluator, "parallel", False))
-            from repro.core.api import _memo_stats
-
-            # hit/miss and work counters are process-cumulative: report
-            # this run's deltas (entries/capacity stay gauges)
-            kernel_cache = dict(_cache_stats())
-            for counter in ("hits", "misses", "unvectorizable"):
-                kernel_cache[counter] -= kernel_cache_before[counter]
-            stats: Dict[str, object] = {
-                "evaluator": evaluator.eval_stats(),
-                "estimator_memo": _memo_stats(),
-                "config_kernel_cache": kernel_cache,
-                "work": {
-                    k: v - work_before[k] for k, v in _work_stats().items()
-                },
+        with obs_trace.span("search.prepare", kernel=fn.name):
+            evaluator.prepare()
+        if restored:
+            evaluator.restore(restored)
+        if manifest is not None and manifest.get("contributions") is not None:
+            # resume: the candidate set and contribution ranking were
+            # derived (and persisted) by the original run — reuse them
+            # instead of re-sweeping
+            cand = tuple(manifest["candidates"])
+            contributions = {
+                c: float(v) for c, v in manifest["contributions"].items()
             }
-            if sweep_cache is not None:
-                stats["sweep_cache"] = sweep_cache.cache_stats()
-            if run_store is not None and manifest is not None:
-                records = [record_of(c) for c in evaluator.history]
-                run_store.complete_run(
-                    run_id,
-                    manifest,
-                    records,
-                    baseline_key=(
-                        problem.baseline.key if problem.baseline else None
-                    ),
-                    front=[
-                        {"key": p.key, "error": p.error, "cycles": p.cycles}
-                        for p in front.points
-                    ],
+        else:
+            with obs_trace.span("search.contributions"):
+                registers = _register_contributions(
+                    fn, evaluator.points, samples, fixed, demote_to,
+                    aggregate, sweep_cache,
                 )
-                n_checkpoints += 1
-                stats["run_store"] = {
-                    "run_id": run_id,
-                    "root": str(run_store.root),
-                    "restored": evaluator.n_restored,
-                    "computed": evaluator.n_computed,
-                    "checkpoints": n_checkpoints,
-                    "replayed": bool(restored),
-                }
-        finally:
-            evaluator.close()
+            if candidates is None:
+                cand = _derive_candidates(registers)
+                if analysis is not None:
+                    pruned = set(analysis.get("pruned") or ())
+                    kept = tuple(c for c in cand if c not in pruned)
+                    # never prune to an empty candidate space — a
+                    # space that small is cheap to search anyway
+                    if kept:
+                        cand = kept
+            else:
+                cand = tuple(candidates)
+            contributions = {
+                c: sum(
+                    e for r, e in registers.items() if matches_inlined(r, c)
+                )
+                for c in cand
+            }
+            if run_store is not None and manifest is not None:
+                manifest["candidates"] = list(cand)
+                manifest["contributions"] = contributions
+                run_store.save_manifest(run_id, manifest)
+        problem = SearchProblem(
+            evaluator=evaluator,
+            candidates=cand,
+            threshold=float(threshold),
+            contributions=contributions,
+            demote_to=demote_to,
+            budget=int(budget),
+            seed=int(seed),
+        )
+        if restored:
+            # stored evaluations already consumed budget in the run
+            # that computed them
+            problem.charge(evaluator.n_restored)
+        for name in names:
+            if problem.exhausted:
+                break
+            with obs_trace.span("search.strategy", strategy=name):
+                get_strategy(name).run(problem)
+        front = ParetoFront(evaluator.history)
+        from repro.core.api import _memo_stats
+
+        # hit/miss and work counters are process-cumulative: report
+        # this run's deltas (entries/capacity stay gauges)
+        kernel_cache = dict(_cache_stats())
+        for counter in ("hits", "misses", "unvectorizable"):
+            kernel_cache[counter] -= kernel_cache_before[counter]
+        stats: Dict[str, object] = {
+            "evaluator": evaluator.eval_stats(),
+            "estimator_memo": _memo_stats(),
+            "config_kernel_cache": kernel_cache,
+            "work": {
+                k: v - work_before[k] for k, v in _work_stats().items()
+            },
+        }
+        if sweep_cache is not None:
+            stats["sweep_cache"] = sweep_cache.cache_stats()
+        if run_store is not None and manifest is not None:
+            records = [record_of(c) for c in evaluator.history]
+            run_store.complete_run(
+                run_id,
+                manifest,
+                records,
+                baseline_key=(
+                    problem.baseline.key if problem.baseline else None
+                ),
+                front=[
+                    {"key": p.key, "error": p.error, "cycles": p.cycles}
+                    for p in front.points
+                ],
+            )
+            n_checkpoints += 1
+            stats["run_store"] = {
+                "run_id": run_id,
+                "root": str(run_store.root),
+                "restored": evaluator.n_restored,
+                "computed": evaluator.n_computed,
+                "checkpoints": n_checkpoints,
+                "replayed": bool(restored),
+            }
     profile: Optional[Dict[str, object]] = None
     if trace_records:
         from repro.obs.profile import summarize_records
@@ -722,7 +700,6 @@ def run_search(
         strategies=names,
         candidates=cand,
         contributions=contributions,
-        parallel=parallel,
         stats=stats,
         run_id=run_id,
         resumed=bool(restored),

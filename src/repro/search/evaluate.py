@@ -229,8 +229,8 @@ class CandidateEvaluator:
     def prepare(self) -> None:
         """Measure the reference points, and build what the pools run
         on, once.  Idempotent; called implicitly by evaluation and
-        explicitly by :class:`ParallelEvaluator` before forking so
-        workers inherit the built artifacts."""
+        explicitly by the search driver (inside its ``search.prepare``
+        span)."""
         if self._references is not None:
             return
         # one compiled counting variant serves every validation point
@@ -252,7 +252,7 @@ class CandidateEvaluator:
                 *build_args(self.fn, self.samples, self.fixed)
             )
         # the config-batched counting kernel lives in the
-        # fingerprint-keyed memo, where forked workers inherit it
+        # fingerprint-keyed memo
         self.pool_runner()
 
     @property
@@ -333,11 +333,8 @@ class CandidateEvaluator:
         """Score a pool of configurations, preserving order.
 
         Configurations already scored (this run) are served from the
-        memo; the rest go through :meth:`_compute_many` — the hook the
-        parallel evaluator overrides to fan the pool out over worker
-        processes.  Results merge deterministically: indices are
-        assigned in submission order regardless of which worker finished
-        first.
+        memo; the rest are scored together by :meth:`_compute_many`.
+        Indices are assigned in submission order.
         """
         self.prepare()
         keys = [config_key(c) for c in configs]
@@ -385,7 +382,7 @@ class CandidateEvaluator:
     def _compute_many(
         self, configs: Sequence[PrecisionConfig]
     ) -> List[EvaluatedCandidate]:
-        """Serial pool computation (overridden by ParallelEvaluator).
+        """Score a pool of fresh configurations, preserving order.
 
         The config-batched path scores the whole pool — K configs × N
         validation points — through one compiled lane kernel, and its
@@ -475,7 +472,7 @@ class CandidateEvaluator:
         self, config: PrecisionConfig, estimated: Optional[float] = None
     ) -> EvaluatedCandidate:
         """Score one configuration from scratch (pure: no memo access,
-        no index assignment — safe to run in a worker process)."""
+        no index assignment)."""
         refs = self.references
         if config:
             mixed_fn = apply_precision(self.fn, config)
@@ -545,7 +542,3 @@ class CandidateEvaluator:
             cycles=cycles,
             cycles_reference=cycles_ref,
         )
-
-    def close(self) -> None:
-        """Release resources (no-op for the serial evaluator)."""
-        return None

@@ -7,7 +7,7 @@ long enough that crashes, OOM kills, and CI timeouts are facts of life.
 
 * every entry is a :class:`PlanEntry` — a named app scenario
   (:mod:`repro.apps`) plus per-entry overrides (budget, strategies,
-  threshold, seed, workers) and optional scenario-construction
+  threshold, seed) and optional scenario-construction
   arguments;
 * every search runs through the shared :class:`~repro.search.store
   .RunStore`, so evaluation history checkpoints as it is computed;
@@ -17,8 +17,7 @@ long enough that crashes, OOM kills, and CI timeouts are facts of life.
   continue where they stopped — both bit-identical to an uninterrupted
   run;
 * the estimator memo is warm-started across the whole plan up front
-  (:func:`repro.core.api.warm_start_estimator_memo`), so forked worker
-  pools inherit every kernel's compiled estimators and later entries
+  (:func:`repro.core.api.warm_start_estimator_memo`), so later entries
   never pay a compile the plan already did;
 * :meth:`SearchOrchestrator.report` compares the finished runs —
   evaluations computed vs restored, front sizes, and the best
@@ -55,7 +54,6 @@ _ALLOWED_OVERRIDES = frozenset(
         "strategies",
         "threshold",
         "seed",
-        "workers",
         "cache",
         "aggregate",
         "error_metric",
@@ -263,7 +261,7 @@ class SearchOrchestrator:
         """Build from a plan mapping::
 
             {
-              "defaults": {"seed": 0, "workers": 2},
+              "defaults": {"seed": 0},
               "entries": [
                 {"scenario": "blackscholes", "budget": 24},
                 {"scenario": "kmeans", "budget": 16,

@@ -39,7 +39,7 @@ class SearchScenario:
         ``session=`` to share an existing session's sweep cache, run
         store, and defaults (a throwaway default session is used
         otherwise).  Keyword overrides are passed through (``budget=``,
-        ``workers=``, ``strategies=``, ``threshold=``, ...).
+        ``strategies=``, ``threshold=``, ...).
         """
         if session is None:
             from repro.session import Session

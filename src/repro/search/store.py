@@ -96,19 +96,6 @@ def library_version() -> str:
         return getattr(repro, "__version__", "unknown")
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` atomically with transient retries.
-
-    Thin historical alias over :func:`repro.util.atomio.atomic_write`
-    (the run store grew the first copy of the mkstemp+rename
-    discipline; the unified helper now owns it).  Unlike the sweep
-    cache — where a lost entry is merely a future miss — a lost
-    checkpoint loses work, so exhausted-retry failures propagate."""
-    atomio.atomic_write(
-        path, data, site="store.write", retry=DEFAULT_IO_POLICY
-    )
-
-
 # -- run identity -------------------------------------------------------------
 
 
@@ -132,8 +119,9 @@ def run_key_components(
     """Everything that determines a search run's results, as JSON.
 
     Deliberately excludes knobs that are bit-identical by contract
-    (``workers``, ``config_batch``) and pure plumbing (``cache``) — a
-    run may be resumed serial after starting parallel and vice versa.
+    (``config_batch``) and pure plumbing (``cache``) — a run may be
+    resumed on the per-candidate path after starting config-batched
+    and vice versa.
     """
     if samples is not None:
         sample_names = sorted(samples)
@@ -279,9 +267,6 @@ class RunStore:
 
     def _records_path(self, run_id: str) -> Path:
         return self.run_dir(run_id) / "evals.pkl"
-
-    def has_run(self, run_id: str) -> bool:
-        return self._manifest_path(run_id).exists()
 
     # -- manifests ----------------------------------------------------------
     def new_manifest(

@@ -17,14 +17,14 @@ Built-ins (see :data:`STRATEGIES`):
 * ``delta`` — Precimonious-style delta debugging (ddmin over the set of
   variables *kept* in f64): finds a small kept-set whose complement
   demotes within the threshold, evaluating whole partitions per round
-  (parallelizable pools).
+  (one pool per round).
 * ``anneal`` — simulated annealing with random restarts over bit-flip
   moves, with exhaustive enumeration as the small-kernel fallback when
   the whole space fits in the remaining budget.
 * ``population`` — lockstep population annealing: the restart chains
   advance together and each step proposes one *generation* (a pool of
-  flips, one per chain) instead of singletons, so the config-batched /
-  parallel evaluators score a whole generation in one lane execution.
+  flips, one per chain) instead of singletons, so the config-batched
+  evaluator scores a whole generation in one lane execution.
   Not in the default line-up: pooling reorders evaluations relative to
   ``anneal``, whose sequential trajectory the default results contract
   (bit-reproducibility across releases) pins down.
@@ -238,8 +238,8 @@ class DeltaDebugStrategy(SearchStrategy):
     Searches for a 1-minimal set ``R`` of variables *kept* at f64 such
     that demoting everything else stays within the error threshold —
     i.e. a maximal demotion set.  Each granularity round proposes all
-    chunk/complement tests as one pool, so the parallel evaluator can
-    score a whole partition at once.
+    chunk/complement tests as one pool, so the config-batched evaluator
+    scores a whole partition at once.
     """
 
     name = "delta"
@@ -415,8 +415,7 @@ class PopulationAnnealStrategy(SearchStrategy):
     ``chains`` annealing chains advance in lockstep: every step gathers
     one bit-flip proposal per active chain and submits the whole
     *generation* as one pool, which the config-batched evaluator scores
-    in a single lane execution (and the parallel evaluator ships as
-    worker blocks).  Chain trajectories are independent — each chain
+    in a single lane execution.  Chain trajectories are independent — each chain
     accepts/rejects against its own energy with its own RNG stream — so
     the search is deterministic under a fixed seed.
 

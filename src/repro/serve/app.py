@@ -138,7 +138,7 @@ class ServeApp:
             )
         # degraded is still 200: the service answers, but some
         # robustness event (exhausted retries, quarantined file,
-        # journal write failure, worker respawn, watchdog abort) needs
+        # journal write failure, watchdog abort) needs
         # operator attention — the events are itemized in the payload
         payload = self.metrics.health()
         payload.update(self.metrics.identity())

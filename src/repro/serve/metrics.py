@@ -59,7 +59,6 @@ ROBUSTNESS_COUNTERS = (
     "repro_retries_total",
     "repro_retry_exhausted_total",
     "repro_quarantined_total",
-    "repro_worker_respawns_total",
     "repro_sweep_cache_read_failures_total",
     "repro_sweep_cache_write_failures_total",
     "repro_jobs_journal_failures_total",
@@ -88,12 +87,11 @@ DIST_COUNTERS = (
 #: the subset whose growth flips health to ``degraded``: events the
 #: service did NOT fully absorb.  Retries that succeeded and faults
 #: that were injected-then-survived are normal operation; exhausted
-#: retries, quarantined files, lost journal writes, worker respawns
-#: and watchdog action all mean something real was lost or rebuilt.
+#: retries, quarantined files, lost journal writes and watchdog
+#: action all mean something real was lost or rebuilt.
 DEGRADING_COUNTERS = (
     "repro_retry_exhausted_total",
     "repro_quarantined_total",
-    "repro_worker_respawns_total",
     "repro_sweep_cache_read_failures_total",
     "repro_sweep_cache_write_failures_total",
     "repro_jobs_journal_failures_total",

@@ -1,7 +1,7 @@
 """The frozen, serializable configuration of a :class:`~repro.session.Session`.
 
 Before the session facade, every entry point re-plumbed the same knobs
-(`opt_level`, `workers`, `aggregate`, `seed`, cache/store directories,
+(`opt_level`, `aggregate`, `seed`, `budget`, cache/store directories,
 ...) through its own keyword list.  :class:`SessionConfig` is the one
 place those defaults live: a frozen dataclass that validates on
 construction, round-trips through JSON (``to_dict``/``from_dict``), and
@@ -50,8 +50,6 @@ class SessionConfig:
     #: sweep aggregation — ``"max"``/``"mean"``/``"p95"``/
     #: ``("percentile", q)``
     aggregate: AggregateSpec = "max"
-    #: ``>= 2`` fans search candidate pools over worker processes
-    workers: int = 0
     #: RNG seed for stochastic search strategies
     seed: int = 0
     #: Pareto error axis (``"worst"``, ``"actual"``, ``"estimate"``)
@@ -99,9 +97,9 @@ class SessionConfig:
                 f"got {self.error_metric!r}"
             )
         # numeric fields are coerced, not just checked, so a config
-        # rebuilt from hand-edited JSON ("workers": "4") cannot smuggle
+        # rebuilt from hand-edited JSON ("budget": "64") cannot smuggle
         # strings into comparisons deep inside the search driver
-        for name in ("budget", "checkpoint_every", "workers", "seed"):
+        for name in ("budget", "checkpoint_every", "seed"):
             object.__setattr__(self, name, check(name, getattr(self, name)))
         object.__setattr__(
             self, "opt_level", integer("opt_level", self.opt_level)

@@ -93,7 +93,6 @@ CHECKS: Dict[str, Callable[[str, object], object]] = {
     "shards": _at_least(1),
     "fleet_workers": _at_least(1),
     "point": _at_least(0),
-    "workers": _at_least(0),
     "seed": integer,
     "strategies": names,
 }

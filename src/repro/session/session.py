@@ -429,7 +429,6 @@ class Session:
         demote_to,
         strategies,
         budget,
-        workers,
         cache,
         aggregate,
         estimate_model,
@@ -492,7 +491,6 @@ class Session:
             demote_to=_pick(demote_to, self.config.demote_to),
             strategies=_pick(strategies, self.config.strategies),
             budget=_pick(budget, self.config.budget),
-            workers=_pick(workers, self.config.workers),
             cache=_pick(cache, self._cache),
             aggregate=_pick(aggregate, self.config.aggregate),
             estimate_model=_pick(estimate_model, self.model),
@@ -520,7 +518,6 @@ class Session:
         demote_to: object = _UNSET,
         strategies: object = _UNSET,
         budget: object = _UNSET,
-        workers: object = _UNSET,
         cache: object = _UNSET,
         aggregate: object = _UNSET,
         estimate_model: object = _UNSET,
@@ -555,7 +552,7 @@ class Session:
             k, points, threshold,
             candidates=candidates, samples=samples, fixed=fixed,
             demote_to=demote_to, strategies=strategies, budget=budget,
-            workers=workers, cache=cache, aggregate=aggregate,
+            cache=cache, aggregate=aggregate,
             estimate_model=estimate_model, cost_model=cost_model,
             approx=approx, seed=seed, error_metric=error_metric,
             config_batch=config_batch, store=store, label=label,
@@ -595,16 +592,16 @@ class Session:
             k, points, threshold,
             candidates=candidates, samples=samples, fixed=fixed,
             demote_to=demote_to, strategies=strategies, budget=budget,
-            workers=_UNSET, cache=_UNSET, aggregate=aggregate,
+            cache=_UNSET, aggregate=aggregate,
             estimate_model=estimate_model, cost_model=cost_model,
             approx=approx, seed=seed, error_metric=error_metric,
             config_batch=_UNSET, store=_UNSET, label=None,
             checkpoint_every=_UNSET,
         )
         # identity excludes bit-identical-by-contract and plumbing
-        # knobs (workers, config_batch, cache, store, label, cadence)
-        for knob in ("workers", "cache", "config_batch", "store",
-                     "label", "checkpoint_every"):
+        # knobs (config_batch, cache, store, label, cadence)
+        for knob in ("cache", "config_batch", "store", "label",
+                     "checkpoint_every"):
             kwargs.pop(knob)
         return _api_run_id(**kwargs)
 
@@ -624,9 +621,9 @@ class Session:
         ``entries`` may mix scenario names and
         :class:`~repro.search.orchestrator.PlanEntry`/dict entries;
         alternatively pass ``plan_file=`` (a JSON plan) or
-        ``all_apps=True``.  Session config values (workers, seed,
-        strategies, ...) seed the plan defaults; explicit ``defaults``
-        and per-entry overrides win.  Returns the (not yet run)
+        ``all_apps=True``.  Session config values (seed, strategies,
+        ...) seed the plan defaults; explicit ``defaults`` and per-entry
+        overrides win.  Returns the (not yet run)
         :class:`~repro.search.orchestrator.SearchOrchestrator`.
         """
         from repro.search.orchestrator import SearchOrchestrator
@@ -638,7 +635,6 @@ class Session:
                 "with store= (or SessionConfig.store_dir)"
             )
         merged: Dict[str, object] = {
-            "workers": self.config.workers,
             "seed": self.config.seed,
             "strategies": tuple(self.config.strategies),
             "aggregate": self.config.aggregate,

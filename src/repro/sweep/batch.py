@@ -270,12 +270,6 @@ class BatchedErrorEstimator:
             self._variants[batched] = variant
         return self._variants[batched]
 
-    def batch_source(self, batched: Sequence[str]) -> Optional[str]:
-        """Generated vectorized source for a swept-parameter set (None if
-        the kernel is unvectorizable for that set)."""
-        v = self._variant(frozenset(batched))
-        return v.source if v is not None else None
-
     # -- execution ----------------------------------------------------------
     def execute(self, *args: object) -> BatchReport:
         """Evaluate the estimator over a batch.
@@ -556,8 +550,7 @@ class ConfigBatchedEstimator:
 
     def prepare(self, *args: object) -> None:
         """Compile the lane kernel for ``args``' layout (see
-        :meth:`execute`) ahead of the first pool, e.g. before forking
-        workers that should inherit it."""
+        :meth:`execute`) ahead of the first pool."""
         batched, _ = _scan_sweep_args(self.est.primal_ir, args)
         self._kernel(frozenset(batched))
 

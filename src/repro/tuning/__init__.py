@@ -11,7 +11,7 @@ program (actual error) and costing it with the performance model
 
 Beyond the single greedy pass, the multi-objective search subsystem
 (:mod:`repro.search`: Pareto fronts over error × modelled cycles,
-delta-debugging and annealing strategies, parallel candidate
+delta-debugging and annealing strategies, config-batched candidate
 evaluation) has its result and strategy-registry types re-exported
 here.  The tuning entry point is :meth:`repro.session.Session.tune`.
 """

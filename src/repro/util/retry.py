@@ -150,11 +150,3 @@ def retry_call(
             ):
                 sleep(delay)
     raise AssertionError("unreachable: loop returns or raises")
-
-
-def retry_stats() -> dict:
-    """Process-wide retry counters (views over the registry)."""
-    return {
-        "retries": _RETRIES.value,
-        "exhausted": _EXHAUSTED.value,
-    }

@@ -25,8 +25,3 @@ class Timer:
 
     def __exit__(self, *exc: object) -> None:
         self.elapsed_s = time.perf_counter() - self.start
-
-    @property
-    def elapsed_ms(self) -> float:
-        """Elapsed time in milliseconds."""
-        return self.elapsed_s * 1e3

@@ -71,7 +71,6 @@ from repro.ir.typecheck import infer_types
 from repro.ir.types import ArrayType, DType, ScalarType, machine_eps
 from repro.ir.visitor import iter_stmt_exprs, walk_expr, walk_stmts
 from repro.search.evaluate import CandidateEvaluator, config_key
-from repro.search.parallel import ParallelEvaluator
 from repro.session import Session
 from repro.sweep.cache import SweepCache
 from repro.sweep.engine import run_sweep
@@ -798,19 +797,20 @@ class TestCandidateEvaluator:
         assert ev.n_memo_hits >= len(pool) + 3
         assert [c.strategy for c in again] == ["first"] * len(again)
 
-    def test_parallel_blocks_identical_to_serial(self):
+    def test_split_pool_identical_to_whole_pool(self):
+        # lane results are independent of how a pool is split into
+        # lane executions
         fn = bs.bs_price.ir
         points = bs_points(2)
         pool = make_pool(bs.SEARCH_CANDIDATES, 8, seed=6)
-        serial = CandidateEvaluator(fn, points)
-        rs = serial.evaluate_many(pool, "t")
-        with ParallelEvaluator(fn, points, workers=2) as par:
-            rp = par.evaluate_many(pool, "t")
-            if par.parallel:
-                # worker-side pool telemetry must surface in the parent
-                assert par.n_pool_lanes == len(pool)
-                assert par.n_pool_runs >= 1
-        _candidates_identical(rs, rp)
+        whole = CandidateEvaluator(fn, points)
+        rw = whole.evaluate_many(pool, "t")
+        split = CandidateEvaluator(fn, points)
+        rs = split.evaluate_many(pool[:3], "t")
+        rs += split.evaluate_many(pool[3:], "t")
+        assert split.n_pool_runs == whole.n_pool_runs + 1
+        assert split.n_pool_lanes == whole.n_pool_lanes == len(pool)
+        _candidates_identical(rw, rs)
 
 
 # --------------------------------------------------------------------------
@@ -990,8 +990,7 @@ class TestSearchIntegration:
         assert set(Session().stats()["work"]) == set(work)
 
     def test_prepare_prewarms_the_estimator_lanes(self):
-        # forked workers inherit the compiled lane kernel instead of
-        # compiling their own
+        # the first pool runs on the lane kernel prepare() compiled
         clear_estimator_memo()
         scen = bs.search_scenario(n_points=2, n_samples=8)
         ev = CandidateEvaluator(

@@ -7,12 +7,21 @@ and the serve/CLI surfaces over all of it."""
 
 import json
 import multiprocessing
+import os
+import threading
 import time
+import warnings
 
 import pytest
 
 from repro import ConfigError, Session, SessionConfig, UnknownNameError, faults
 from repro.cli import main as cli
+from repro.codegen import compile as codegen_compile
+from repro.codegen import native
+from repro.core import api as core_api
+from repro.frontend import registry as kernel_registry
+from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
 from repro.dist import (
     LeaseLostError,
     LeaseManager,
@@ -174,7 +183,7 @@ _FAST = dict(budget=3, strategies=("greedy",))
 
 def _store_with_run(path, seed):
     store = RunStore(path)
-    sess = Session(SessionConfig(workers=0, seed=seed), store=store)
+    sess = Session(SessionConfig(seed=seed), store=store)
     sess.search("kmeans", **_FAST)
     return store
 
@@ -329,7 +338,7 @@ _FLEET_DEFAULTS = {"budget": 4, "strategies": ["greedy"]}
 
 def _serial_reference(tmp_path, defaults, shards, seed=0):
     """Run the sharded plan serially; returns (store, manifests)."""
-    cfg = SessionConfig(workers=0, seed=seed)
+    cfg = SessionConfig(seed=seed)
     store = RunStore(tmp_path / "ref")
     sess = Session(cfg, store=store)
     sharded = shard_entries(
@@ -348,7 +357,7 @@ def _serial_reference(tmp_path, defaults, shards, seed=0):
 
 class TestFleet:
     def test_fleet_matches_serial_reference_bit_for_bit(self, tmp_path):
-        cfg = SessionConfig(workers=0, lease_ttl_s=5.0)
+        cfg = SessionConfig(lease_ttl_s=5.0)
         fleet_store = RunStore(tmp_path / "fleet")
         result = run_fleet(
             [_FLEET_ENTRY],
@@ -384,7 +393,7 @@ class TestFleet:
         # the checkpoint prefix.  The merged outcome must be
         # bit-identical to the uninterrupted serial reference.
         defaults = {"budget": 6, "strategies": ["greedy"]}
-        cfg = SessionConfig(workers=0, lease_ttl_s=1.0)
+        cfg = SessionConfig(lease_ttl_s=1.0)
         fleet_store = RunStore(tmp_path / "fleet")
         result = run_fleet(
             [_FLEET_ENTRY],
@@ -410,9 +419,7 @@ class TestFleet:
         assert [p.to_dict() for p in ref_front.points] == result.front
 
     def test_session_fleet_facade(self, tmp_path):
-        sess = Session(
-            SessionConfig(workers=0), store=tmp_path / "runs"
-        )
+        sess = Session(store=tmp_path / "runs")
         result = sess.fleet(
             ["kmeans"],
             defaults={"budget": 3, "strategies": ["greedy"]},
@@ -591,3 +598,54 @@ class TestDistCLI:
 
     def test_bare_dist_prints_help(self, capsys):
         assert cli(["dist"]) == 2
+
+
+# -- fork safety --------------------------------------------------------------
+
+#: every module-level lock a fleet fork can inherit held, read at call
+#: time (the child must see its own re-created lock)
+_FORK_LOCKS = {
+    "estimator-memo": lambda: core_api._MEMO_LOCK,
+    "config-kernel-cache": lambda: codegen_compile._CONFIG_KERNEL_LOCK,
+    "native-build": lambda: native._BUILD_LOCK,
+    "faults-state": lambda: faults._STATE_LOCK,
+    "trace-state": lambda: obs_trace._STATE_LOCK,
+    "kernel-registry": lambda: kernel_registry._REGISTRY_LOCK,
+    "metrics-registry": lambda: obs_metrics.REGISTRY._lock,
+    "metrics-instrument": lambda: core_api._MEMO_HITS._lock,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FORK_LOCKS))
+def test_fork_child_does_not_inherit_a_held_lock(name):
+    # serve can start a fleet from a job thread while a sibling job
+    # thread holds one of these locks (the estimator memo's, for a
+    # whole build); the forked worker must still be able to take it
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with _FORK_LOCKS[name]():
+            held.set()
+            release.wait(10.0)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert held.wait(5.0)
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on any fork of a threaded process;
+            # that fork is exactly the situation under test
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # child: always exit here, never back into pytest
+            code = 1
+            try:
+                code = 0 if _FORK_LOCKS[name]().acquire(timeout=2.0) else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+    finally:
+        release.set()
+        holder.join(10.0)
+    assert not holder.is_alive()
+    assert os.waitstatus_to_exitcode(status) == 0

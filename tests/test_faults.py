@@ -12,8 +12,6 @@ Covers the PR-8 contracts end to end:
   attempts *and* deadline, with uniform telemetry;
 * run store / sweep cache / job journal degrade per contract under
   injected faults (recompute, quarantine-and-miss, skip-and-recover);
-* the parallel evaluator survives killed workers via hang detection
-  and bounded respawn;
 * the serve layer reports ``degraded`` health and adaptive
   ``Retry-After`` hints, and the watchdog fails/requeues wedged jobs.
 """
@@ -514,68 +512,6 @@ class TestCacheDegradation:
         assert cache.write_failures == 1
         assert cache.cache_stats()["write_failures"] == 1
         assert list((tmp_path / "cache").glob("*.pkl")) == []
-
-
-# -- parallel workers ----------------------------------------------------------
-
-
-class TestWorkerFaults:
-    def test_worker_kill_detected_and_recomputed(self):
-        import numpy as np
-
-        from repro import kernel
-        from repro.search.evaluate import CandidateEvaluator
-        from repro.search.parallel import ParallelEvaluator
-        from repro.tuning.config import PrecisionConfig
-
-        @kernel
-        def pk(t: float, s: float, h: float) -> float:
-            return t * s + h * h
-
-        points = [(0.5, 1.5, 0.25), (1.0, 2.0, 0.5)]
-        configs = [
-            PrecisionConfig.demote([v]) for v in ("t", "s", "h")
-        ]
-        expected = CandidateEvaluator(pk, points).evaluate_many(
-            configs, "x"
-        )
-        faults.enable(
-            faults.FaultPlan(
-                specs=(
-                    faults.FaultSpec(
-                        site="worker.exec",
-                        kind="worker-kill",
-                        nth=(1,),
-                        max_fires=1,
-                    ),
-                )
-            )
-        )
-        respawns_before = _counter("repro_worker_respawns_total")
-        with ParallelEvaluator(
-            pk, points, workers=2, hang_timeout_s=10.0
-        ) as ev:
-            got = ev.evaluate_many(configs, "x")
-            # the poisoned block killed its worker; hang detection
-            # fired and the whole pool recomputed serially
-            assert ev._failures == 1
-            for a, b in zip(expected, got):
-                assert a.key == b.key
-                assert a.error == b.error  # bitwise
-                assert a.cycles == b.cycles
-            # next evaluation respawns the pool and runs parallel again
-            more = ev.evaluate_many(
-                [
-                    PrecisionConfig.demote(["t", "s"]),
-                    PrecisionConfig.demote(["s", "h"]),
-                ],
-                "x",
-            )
-            assert len(more) == 2
-            assert ev.parallel and ev.n_respawns == 1
-        assert (
-            _counter("repro_worker_respawns_total") - respawns_before == 1
-        )
 
 
 # -- journal recovery (satellite: truncated / checksum-mismatch) --------------

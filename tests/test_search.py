@@ -1,5 +1,5 @@
 """Pareto precision-search subsystem tests: front invariants, candidate
-evaluation, the strategy line-up, serial/parallel agreement, the
+evaluation, the strategy line-up, the
 acceptance criteria on Black-Scholes and k-Means, and the CLI."""
 
 import json
@@ -19,7 +19,6 @@ from repro.ir.types import DType
 from repro.search import (
     CandidateEvaluator,
     EvaluatedCandidate,
-    ParallelEvaluator,
     ParetoFront,
     STRATEGIES,
     SearchProblem,
@@ -49,11 +48,6 @@ def _points(n=48, seeds=(5, 6)):
         rng = np.random.default_rng(seed)
         out.append((n, 1.0 / 3.0, rng.uniform(0.1, 1.0, n)))
     return out
-
-
-def _poisoned_block(payload):
-    """Module-level so the pool can pickle it into forked workers."""
-    raise RuntimeError("poisoned worker block")
 
 
 def _cand(key, error, cycles, strategy="t", index=0):
@@ -318,126 +312,6 @@ class TestAcceptance:
         attrs_only = by_key.get("attributes:f32")
         if attrs_only is not None:
             assert attrs_only.actual_error == 0.0
-
-
-class TestParallel:
-    def test_parallel_front_bit_identical_to_serial(self):
-        kwargs = dict(
-            points=_points(),
-            threshold=1e-6,
-            candidates=("t", "s", "h", "data"),
-            strategies=("greedy", "delta", "anneal"),
-            budget=14,
-            seed=7,
-        )
-        serial = run_search(ps_kernel, **kwargs)
-        parallel = run_search(ps_kernel, workers=2, **kwargs)
-        assert parallel.parallel
-        assert len(serial.evaluations) == len(parallel.evaluations)
-        for a, b in zip(serial.evaluations, parallel.evaluations):
-            assert a.key == b.key
-            assert a.error == b.error  # bitwise float equality
-            assert a.cycles == b.cycles
-            assert a.point_errors == b.point_errors
-            assert a.estimated_error == b.estimated_error
-            assert a.strategy == b.strategy and a.index == b.index
-        assert [
-            (p.key, p.error, p.cycles) for p in serial.front.points
-        ] == [(p.key, p.error, p.cycles) for p in parallel.front.points]
-
-    def test_parallel_evaluator_close_is_idempotent(self):
-        ev = ParallelEvaluator(ps_kernel, _points(), workers=2)
-        ev.evaluate_many(
-            [PrecisionConfig.demote([v]) for v in ("t", "s")], "x"
-        )
-        ev.close()
-        ev.close()
-
-    def test_worker_exception_recovers_serially_then_respawns(
-        self, monkeypatch
-    ):
-        """Regression: a worker exception must not propagate — the
-        block is recomputed serially bit-identically, and the pool
-        *respawns* on the next evaluation instead of the old permanent
-        serial fallback."""
-        import repro.search.parallel as par
-
-        configs = [
-            PrecisionConfig.demote([v]) for v in ("t", "s", "h")
-        ]
-        expected = CandidateEvaluator(ps_kernel, _points()).evaluate_many(
-            configs, "x"
-        )
-        ev = ParallelEvaluator(ps_kernel, _points(), workers=2)
-        monkeypatch.setattr(par, "_worker_compute_block", _poisoned_block)
-        try:
-            got = ev.evaluate_many(configs, "x")
-            assert ev._failures == 1 and not ev.exhausted
-            assert ev._pool is None and not ev.parallel
-            for a, b in zip(expected, got):
-                assert a.key == b.key
-                assert a.error == b.error  # bitwise
-                assert a.cycles == b.cycles
-                assert a.point_errors == b.point_errors
-            # the pool respawns for the next evaluation and works again
-            monkeypatch.undo()
-            more = ev.evaluate_many(
-                [PrecisionConfig.demote(["data", "t"]),
-                 PrecisionConfig.demote(["s", "h"])],
-                "x",
-            )
-            assert len(more) == 2
-            assert ev.parallel and ev.n_respawns == 1
-            assert ev.eval_stats()["pool_respawns"] == 1
-        finally:
-            ev.close()
-
-    def test_respawn_budget_exhausts_to_permanent_serial(self, monkeypatch):
-        """Past ``max_respawns`` failures the evaluator stays serial
-        instead of thrashing spawn/crash cycles."""
-        import repro.search.parallel as par
-
-        ev = ParallelEvaluator(
-            ps_kernel, _points(), workers=2, max_respawns=1
-        )
-        monkeypatch.setattr(par, "_worker_compute_block", _poisoned_block)
-        # distinct configs per call: the evaluator memoizes scored
-        # configs, so reusing a pair would never reach the pool again
-        pairs = [
-            [PrecisionConfig.demote(["t"]), PrecisionConfig.demote(["s"])],
-            [PrecisionConfig.demote(["h"]), PrecisionConfig.demote(["data"])],
-            [PrecisionConfig.demote(["t", "s"]),
-             PrecisionConfig.demote(["s", "h"])],
-        ]
-        try:
-            ev.evaluate_many(pairs[0], "x")   # failure 1 (initial pool)
-            assert not ev.exhausted
-            ev.evaluate_many(pairs[1], "x")   # failure 2 (respawn used)
-            assert ev._failures == 2 and ev.n_respawns == 1
-            assert ev.exhausted
-            # budget spent: no further pool is built, serial still works
-            out = ev.evaluate_many(pairs[2], "x")
-            assert len(out) == 2 and not ev.parallel
-            assert ev._failures == 2 and ev.n_respawns == 1
-        finally:
-            ev.close()
-
-    def test_happy_path_close_drains_instead_of_terminating(self):
-        """Regression: close() must let in-flight worker blocks finish
-        (close+join), reserving terminate() for __del__/failures."""
-        ev = ParallelEvaluator(ps_kernel, _points(), workers=2)
-        ev.evaluate_many(
-            [PrecisionConfig.demote([v]) for v in ("t", "s")], "x"
-        )
-        pool = ev._pool
-        assert pool is not None
-        calls = []
-        orig_close, orig_term = pool.close, pool.terminate
-        pool.close = lambda: (calls.append("close"), orig_close())[-1]
-        pool.terminate = lambda: (calls.append("terminate"), orig_term())[-1]
-        ev.close()
-        assert calls == ["close"]
-        assert ev._pool is None
 
 
 class TestStrategyRegistry:

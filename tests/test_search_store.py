@@ -1,6 +1,6 @@
 """Run-store / orchestrator tests: content-addressed persistence,
-checkpointing, crash-safe bit-identical resume (serial and parallel,
-including a real SIGKILL), warm restores, and multi-scenario plans."""
+checkpointing, crash-safe bit-identical resume (config-batched and
+per-candidate, including a real SIGKILL), warm restores, and multi-scenario plans."""
 
 import json
 import os
@@ -219,15 +219,17 @@ class TestResume:
         assert manifest["completed"]
         assert manifest["n_evaluations"] == reference.n_evaluated
 
-    def test_parallel_resume_bit_identical(
+    def test_per_candidate_resume_bit_identical(
         self, stored, reference, tmp_path
     ):
+        # config_batch is outside the run identity: a config-batched
+        # run resumes on the per-candidate path bit-identically
         snap, _ = self._truncated_store(stored, tmp_path, 5)
         resumed = run_search(
             rs_kernel, points=_points(), store=snap, resume=True,
-            workers=2, **_KWARGS,
+            config_batch=False, **_KWARGS,
         )
-        assert resumed.parallel
+        assert resumed.stats["evaluator"]["pool_runs"] == 0
         assert resumed.n_restored == 5
         assert _trace(resumed) == _trace(reference)
         assert _front(resumed) == _front(reference)

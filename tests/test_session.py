@@ -1,6 +1,6 @@
 """Session facade tests: SessionConfig serialization, shared-resource
-reuse (estimator memo + sweep cache hit counters), serial/parallel
-search equivalence, provenance stamping, the plan/runs facades, and the
+reuse (estimator memo + sweep cache hit counters), in-process/fleet
+search equivalence, the removed search ``workers`` knob, provenance stamping, the plan/runs facades, and the
 error-hierarchy mapping."""
 
 import json
@@ -61,7 +61,6 @@ def _history_tuples(result):
 class TestSessionConfig:
     def test_roundtrip(self):
         cfg = SessionConfig(
-            workers=2,
             seed=9,
             strategies=("greedy", "delta"),
             aggregate=("percentile", 90.0),
@@ -110,7 +109,7 @@ class TestSessionConfig:
         with pytest.raises(ConfigError):
             SessionConfig(opt_level=7)
         with pytest.raises(ConfigError):
-            SessionConfig(workers=-1)
+            SessionConfig(checkpoint_every=0)
         with pytest.raises(ConfigError):
             SessionConfig(aggregate=np.max)
         with pytest.raises(ConfigError):
@@ -126,11 +125,11 @@ class TestSessionConfig:
     def test_numeric_fields_coerced_from_json_strings(self):
         # hand-edited JSON configs must not smuggle strings past
         # validation into the search driver
-        cfg = SessionConfig.from_dict({"workers": "4", "budget": "10"})
-        assert cfg.workers == 4 and isinstance(cfg.workers, int)
+        cfg = SessionConfig.from_dict({"seed": "4", "budget": "10"})
+        assert cfg.seed == 4 and isinstance(cfg.seed, int)
         assert cfg.budget == 10 and isinstance(cfg.budget, int)
         with pytest.raises(ConfigError, match="integer"):
-            SessionConfig(workers="lots")
+            SessionConfig(seed="lots")
 
     def test_bare_string_strategies_rejected(self):
         # tuple("greedy") must not become ('g','r','e','e','d','y')
@@ -205,28 +204,69 @@ class TestSharedResources:
 
 class TestSessionMethods:
     @pytest.mark.parametrize(
-        "scen,budget",
+        "name,args,budget",
         [
-            (km.search_scenario(), 6),
-            (simpsons.search_scenario(size=20, n_samples=8), 8),
+            ("kmeans", {}, 6),
+            ("simpsons", {"size": 20, "n_samples": 8}, 8),
         ],
         ids=["kmeans", "simpsons"],
     )
-    def test_search_parallel_is_bit_identical(self, scen, budget, tmp_path):
-        """Acceptance: a workers=2 search matches the serial one: front
-        AND full evaluation history (estimated-error axis included, for
-        the swept simpsons scenario), and run id."""
+    def test_search_fleet_is_bit_identical(self, name, args, budget, tmp_path):
+        """Acceptance: a search a fleet worker process ran matches the
+        in-process one: front AND full evaluation history
+        (estimated-error axis included, for the swept simpsons
+        scenario), and run id."""
+        scen = {"kmeans": km, "simpsons": simpsons}[name].search_scenario(
+            **args
+        )
         serial = scen.run(
             session=Session(store=tmp_path / "serial"), budget=budget
         )
-        parallel = scen.run(
-            session=Session(store=tmp_path / "parallel"),
-            budget=budget,
-            workers=2,
+        sess = Session(store=tmp_path / "fleet")
+        fleet = sess.fleet(
+            [{"scenario": name, "scenario_args": args}],
+            defaults={"budget": budget},
+            workers=1,
         )
-        assert parallel.parallel
-        assert search_fingerprint(serial) == search_fingerprint(parallel)
-        assert _history_tuples(serial) == _history_tuples(parallel)
+        assert fleet.completed
+        # the fleet's stored run, restored without recomputing anything
+        stored = scen.run(session=sess, budget=budget, resume=True)
+        assert stored.n_restored == stored.n_evaluated == serial.n_evaluated
+        assert stored.run_id == serial.run_id
+        assert search_fingerprint(serial) == search_fingerprint(stored)
+        assert _history_tuples(serial) == _history_tuples(stored)
+
+    def test_removed_search_workers_knob_is_rejected(self, tmp_path):
+        """Searches run in-process; process parallelism is the fleet's
+        (``dist run --workers``).  The old search-level ``workers``
+        knob and its fault hooks fail loudly instead of being
+        ignored."""
+        from repro.cli import main as cli
+        from repro.faults import FaultPlan
+
+        with pytest.raises(TypeError, match="workers"):
+            SessionConfig(workers=2)
+        with pytest.raises(ConfigError, match="workers"):
+            SessionConfig.from_dict({"workers": 2})
+        with pytest.raises(TypeError, match="workers"):
+            Session().search("kmeans", budget=2, workers=2)
+        plan = tmp_path / "plan.json"
+        plan.write_text(
+            json.dumps(
+                {"defaults": {"workers": 2}, "entries": ["kmeans"]}
+            )
+        )
+        with pytest.raises(ConfigError, match="workers"):
+            Session(store=tmp_path / "runs").plan(plan_file=plan)
+        with pytest.raises(SystemExit) as exc:
+            cli(["search", "--kernel", "kmeans", "--workers", "2"])
+        assert exc.value.code == 2
+        for spec in (
+            {"site": "worker.exec", "kind": "delay", "nth": [1]},
+            {"site": "store.write", "kind": "worker-kill", "nth": [1]},
+        ):
+            with pytest.raises(ConfigError):
+                FaultPlan.from_dict({"faults": [spec]})
 
     def test_estimate_at(self):
         sess = Session()
